@@ -48,7 +48,7 @@ def _add_common(p: argparse.ArgumentParser, *, variant: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=LearnConfig.alpha, help="metric-learning step size")
     p.add_argument("--epsilon", type=float, default=LearnConfig.epsilon, help="objective-change stop threshold")
     p.add_argument("--max-iters", type=int, default=LearnConfig.max_iters, help="gradient-ascent iteration cap")
-    p.add_argument("--max-projections", type=int, default=LearnConfig.max_projections, help="iterative-projection cap")
+    p.add_argument("--max-projections", type=int, default=LearnConfig.max_projections, help="cap on root-find refinements per metric projection")
     if variant:
         p.add_argument("--variant", default="conivat", choices=VARIANTS, help="pipeline variant (default conivat)")
 
@@ -166,7 +166,7 @@ def cmd_assess(args) -> int:
     with open(out / "cuts.csv", "w", encoding="utf-8") as fh:
         fh.write("position,magnitude\n")
         for t, mag in enumerate(vat.cut_magnitudes, start=1):
-            fh.write(f"{t},{mag!r}\n")
+            fh.write(f"{t},{float(mag)!r}\n")
     suggestions = suggest_k(vat) if vat.n >= 2 else []
     with open(out / "suggestions.csv", "w", encoding="utf-8") as fh:
         fh.write("k,score\n")

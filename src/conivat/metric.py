@@ -5,35 +5,33 @@ The learner maximizes the summed distance between dissimilar pairs,
     g(A) = sum_{(i,j) dissimilar} sqrt((xi-xj)^T A (xi-xj)),
 
 by gradient ascent on the symmetric weight matrix A, subject to two convex
-constraints enforced by alternating projection after every ascent step:
+constraints (Xing et al., NIPS 2002):
 
     C1:  sum_{(i,j) similar} (xi-xj)^T A (xi-xj) <= 1
     C2:  A positive semi-definite.
 
 C1 is a half-space in the Frobenius inner product against
-M_S = sum_similar v v^T, so its projection is the closed-form rank-one
-update A - max(0, <A, M_S> - 1) / ||M_S||_F^2 * M_S. C2 is the PSD cone:
-eigendecompose, clamp negative eigenvalues to zero, reassemble.
+M_S = sum_similar v v^T and C2 is the PSD cone. After every ascent step A
+moves to the nearest point of their intersection, which is
+P_PSD(A - lam M_S) at the smallest multiplier lam >= 0 that satisfies C1;
+P_PSD clamps negative eigenvalues to zero, and lam comes from a scalar
+root-find on ``np.linalg.eigh`` warm-started from the previous step's
+multiplier, refined by at most ``max_projections`` evaluations.
+``project_c1`` and ``project_psd`` project onto each set alone.
 
 Ascent stops when the objective change drops below ``epsilon`` or after
-``max_iters`` steps; each projection phase alternates at most
-``max_projections`` times. A starts at the identity, so the pre-learning
+``max_iters`` steps. A starts at the identity, so the pre-learning
 distance is plain Euclidean.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import ConstraintSet
 from .data import FeatureMatrix
-
-# inner-loop feasibility margin, safely inside the 1e-6 guarantee on the
-# returned metric
-_FEAS_TOL = 5e-7
 
 
 @dataclass(frozen=True)
@@ -61,70 +59,6 @@ class LearnReport:
     c1_residual: float = 0.0
     min_eigenvalue: float = 0.0
     learned: bool = False
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap before the off-diagonal residual vanished."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"eigensolver did not converge after {sweeps} sweeps (off-diagonal residual {residual:.3e})")
-        self.residual = residual
-        self.sweeps = sweeps
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-11, max_sweeps: int = 100, basis: np.ndarray | None = None):
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors in columns,
-    like ``numpy.linalg.eigh`` but dependency-light and with an explicit
-    convergence contract. ``tol`` bounds the off-diagonal Frobenius norm,
-    scaled by the matrix norm so convergence is attainable at any magnitude.
-
-    ``basis`` optionally rotates the problem into a known near-eigenbasis
-    first (an orthogonal matrix, typically the eigenvectors of a nearby
-    matrix); the decomposition is unchanged but converges in fewer sweeps.
-    """
-    a = np.array(a, dtype=float)
-    p = a.shape[0]
-    if basis is None:
-        v = np.eye(p)
-    else:
-        v = np.array(basis, dtype=float)
-        a = v.T @ a @ v
-        a = (a + a.T) / 2.0
-    if p == 1:
-        return np.diag(a).copy(), v
-    stop = tol * max(1.0, float(np.linalg.norm(a)))
-    # rotations below this leave the off-diagonal norm under ``stop`` even
-    # if every pair skips
-    skip = stop / (2.0 * p)
-    off = float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-    sweeps = 0
-    while off > stop:
-        if sweeps >= max_sweeps:
-            raise EigenConvergenceError(off, sweeps)
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                apq = a[i, j]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                row_i, row_j = a[i].copy(), a[j].copy()
-                a[i] = c * row_i - s * row_j
-                a[j] = s * row_i + c * row_j
-                col_i, col_j = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = a[j, i] = 0.0
-                vec_i, vec_j = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vec_i - s * vec_j
-                v[:, j] = s * vec_i + c * vec_j
-        sweeps += 1
-        off = float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-    return np.diag(a).copy(), v
 
 
 def mahalanobis_distance(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -171,251 +105,83 @@ def _similar_outer(data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
     return vs.T @ vs
 
 
-def _project_c1_raw(a: np.ndarray, m_s: np.ndarray, m_s_sq: float) -> np.ndarray:
-    excess = float(np.tensordot(a, m_s)) - 1.0
-    if excess <= 0.0 or m_s_sq == 0.0:
-        return a
-    return a - (excess / m_s_sq) * m_s
-
-
 def project_c1(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
     """Frobenius-nearest point of the half-space sum_similar d_A^2 <= 1.
 
     Identity operation when the similar side is empty or its pairs are all
     coincident (M_S = 0).
     """
+    a = np.array(a, dtype=float)
     if not cs.similar:
-        return a.copy()
+        return a
     m_s = _similar_outer(data, cs)
-    return _project_c1_raw(np.array(a, dtype=float), m_s, float(np.sum(m_s * m_s)))
+    excess = float(np.tensordot(a, m_s)) - 1.0
+    if excess <= 0.0:
+        return a
+    return a - (excess / float(np.sum(m_s * m_s))) * m_s
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:
-    """Nearest positive semi-definite matrix: clamp negative eigenvalues."""
-    vals, vecs = jacobi_eigh(a)
+    """Nearest positive semi-definite matrix to symmetric A: clamp negative eigenvalues."""
+    vals, vecs = np.linalg.eigh(a)
     out = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return (out + out.T) / 2.0
 
 
-# PSD-side tolerance for the alternation's exit test, matching the
-# guarantee on the returned metric
-_PSD_TOL = 1e-8
+# refinement stops once the feasible end lies this close to the C1 boundary
+_C1_GAP = 1e-9
 
 
-def _sweep_flat(b: list, v: list, mb: list, p: int, tol: float = 1e-11, max_sweeps: int = 100) -> None:
-    """Diagonalize flat row-major ``b`` in place by cyclic Jacobi rotations.
-
-    Rotations accumulate into ``v`` and apply congruently to ``mb`` so both
-    stay expressed in b's evolving eigenbasis. Plain-float arithmetic: this
-    is the alternation hot loop and the matrices are tiny.
-    """
-    nrm = 0.0
-    for x in b:
-        nrm += x * x
-    stop = tol * max(1.0, math.sqrt(nrm))
-    skip = stop / (2.0 * p)
-    sweeps = 0
-    while True:
-        off = 0.0
-        for i in range(p - 1):
-            row = i * p
-            for j in range(i + 1, p):
-                x = b[row + j]
-                off += x * x
-        off = math.sqrt(2.0 * off)
-        if off <= stop:
-            return
-        if sweeps >= max_sweeps:
-            raise EigenConvergenceError(off, sweeps)
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                apq = b[i * p + j]
-                if abs(apq) <= skip:
-                    continue
-                theta = (b[j * p + j] - b[i * p + i]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0)) if theta != 0.0 else 1.0
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                for m in (b, mb):
-                    ri = i * p
-                    rj = j * p
-                    for k in range(p):
-                        x = m[ri + k]
-                        y = m[rj + k]
-                        m[ri + k] = c * x - s * y
-                        m[rj + k] = s * x + c * y
-                    for k in range(p):
-                        kp = k * p
-                        x = m[kp + i]
-                        y = m[kp + j]
-                        m[kp + i] = c * x - s * y
-                        m[kp + j] = s * x + c * y
-                b[i * p + j] = b[j * p + i] = 0.0
-                for k in range(p):
-                    kp = k * p
-                    x = v[kp + i]
-                    y = v[kp + j]
-                    v[kp + i] = c * x - s * y
-                    v[kp + j] = s * x + c * y
-        sweeps += 1
-
-
-# alternation rounds tolerated before a fresh phase is declared stalled;
-# generic geometry exits in a handful, while tangent boundary contact decays
-# sublinearly and would otherwise burn the whole projection budget
-_STALL_ALTERNATIONS = 16
-# once a phase has stalled, tangency almost always persists through the next
-# ascent steps, so follow-up phases skip the probing and rescue immediately
-_STICKY_ALTERNATIONS = 0
-# cap on rescue eigendecompositions per phase (regula falsi needs ~10)
-_RESCUE_EVAL_CAP = 60
-
-
-def _phase(a, basis, m_s, m_s_sq, feas_tol, max_projections, stall):
-    """One alternating C1/PSD projection phase.
-
-    ``a`` must enter positive semi-definite. The whole phase runs in the
-    rotated coordinates of ``basis`` (warm-started from the previous phase)
-    so the PSD step's eigenproblem is nearly diagonal after round one.
-    The loop ends as soon as both constraints hold within tolerance: either
-    the PSD-projected iterate satisfies C1 within ``feas_tol``, or the
-    C1-projected iterate (on the constraint boundary exactly) is already
-    PSD within ``_PSD_TOL``. When the half-space and cone boundaries meet
-    tangentially the alternation's linear rate collapses and no projection
-    budget reaches tolerance, so after a bounded number of fruitless rounds
-    the phase hands over to ``_rescue``, which lands exactly feasible.
-    ``stall`` carries ``(sticky, lam, dlam)`` across phases: a sticky phase
-    skips the probing and the rescue seeds its bracket from the previous
-    multiplier extrapolated by its last drift, which usually makes the
-    first trial land. Returns the matrix, the updated basis, and the new
-    state.
-    """
-    p = a.shape[0]
-    v_np = np.eye(p) if basis is None else basis
-    b_np = v_np.T @ a @ v_np
-    b_np = (b_np + b_np.T) / 2.0
-    mb_np = v_np.T @ m_s @ v_np
-    mb_np = (mb_np + mb_np.T) / 2.0
-    b = b_np.ravel().tolist()
-    mb = mb_np.ravel().tolist()
-    v = v_np.ravel().tolist()
-    pp = p * p
-    rng_pp = range(pp)
-    diag_idx = range(0, pp, p + 1)
-    sticky, lam_warm, dlam = stall
-    cap = _STICKY_ALTERNATIONS if sticky else _STALL_ALTERNATIONS
-    used = 0
-    rounds = 0
-    stalled = True
-    while used + 2 <= max_projections and rounds < cap:
-        excess = -1.0
-        for idx in rng_pp:
-            excess += b[idx] * mb[idx]
-        if excess <= feas_tol:
-            stalled = False
-            break
-        tau = excess / m_s_sq
-        for idx in rng_pp:
-            b[idx] -= tau * mb[idx]
-        _sweep_flat(b, v, mb, p)
-        used += 2
-        rounds += 1
-        low = min(b[idx] for idx in diag_idx)
-        if low >= -_PSD_TOL:
-            stalled = False
-            break
-        if low < 0.0:
-            for idx in diag_idx:
-                if b[idx] < 0.0:
-                    b[idx] = 0.0
-    v_np = np.array(v).reshape(p, p)
-    b_np = np.array(b).reshape(p, p)
-    if stalled and used + 2 <= max_projections:
-        excess = -1.0
-        for idx in rng_pp:
-            excess += b[idx] * mb[idx]
-        if excess > feas_tol:
-            mb_np = np.array(mb).reshape(p, p)
-            out, v_np, lam_new = _rescue(
-                b_np, mb_np, v_np, excess, m_s_sq, lam_warm + dlam, max_projections - used
-            )
-            if lam_warm > 0.0:
-                dlam = lam_new - lam_warm
-            return out, v_np, (True, lam_new, dlam)
-        stalled = False
-    out = v_np @ b_np @ v_np.T
-    return (out + out.T) / 2.0, v_np, (stalled, lam_warm, dlam)
-
-
-def _rescue(b, mb, v, excess, m_s_sq, lam_seed, budget):
-    """Project a stalled PSD iterate exactly onto {X ⪰ 0, ⟨X, MB⟩ ≤ 1}.
+def _project_feasible(a, m_s, m_s_sq, lam_warm, max_evals):
+    """Frobenius-nearest point of {X PSD, <X, M_S> <= 1}; returns ``(X, lam)``.
 
     By the projection program's KKT conditions the answer is
-    P_PSD(B − λ·MB) at the smallest λ ≥ 0 restoring C1, and the constraint
-    value of that clamp never increases in λ because MB is PSD, so the
-    scalar solves by bracketing plus Illinois regula falsi in a handful of
-    eigendecompositions — usually one when ``lam_seed`` extrapolates the
-    previous phase well. Works on the rotated-frame matrices and returns
-    the result mapped back through ``v`` along with the composed warm basis
-    and the accepted multiplier; each trial is charged two projections
-    against ``budget`` like an alternation round.
+    X(lam) = P_PSD(A - lam M_S) at the smallest lam >= 0 with
+    f(lam) = <X(lam), M_S> - 1 <= 0 (Malick 2004), and f never increases
+    because M_S is PSD. P_PSD is 1-Lipschitz, so f(lam) >= f(0) - lam ||M_S||^2
+    and the root is at least f(0) / ||M_S||^2; bracketing doubles from there,
+    or from ``lam_warm`` (the previous step's multiplier) when that is larger,
+    and always ends because lam >= ||A||^2 / 4 is feasible. Illinois regula
+    falsi then refines for at most ``max_evals`` evaluations. The bracket's
+    feasible end is returned, so X always satisfies both constraints.
     """
 
     def trial(lam):
-        vals, vecs = np.linalg.eigh(b - lam * mb)
-        w = np.maximum(vals, 0.0)
-        x = (vecs * w) @ vecs.T
-        return w, vecs, float(np.vdot(x, mb)) - 1.0
+        x = project_psd(a - lam * m_s)
+        return x, float(np.vdot(x, m_s)) - 1.0
 
-    # the linear part alone reaches the boundary at excess/‖MB‖²; clamping
-    # only adds a PSD correction with nonnegative MB-inner-product, so the
-    # true λ lies at or above that — bracket by doubling from there, or
-    # from the extrapolated previous multiplier when that is tighter
-    lo, f_lo = 0.0, excess
-    hi = max(excess / m_s_sq, lam_seed)
-    best = None
-    evals = 0
-    while evals < _RESCUE_EVAL_CAP and budget >= 2:
-        w, vecs, f_hi = trial(hi)
-        evals += 1
-        budget -= 2
-        if f_hi <= 0.0:
-            best = (w, vecs, hi)
-            break
+    x_hi, f_lo = trial(0.0)
+    if f_lo <= 0.0:
+        return x_hi, 0.0
+    lo, hi = 0.0, max(f_lo / m_s_sq, lam_warm)
+    x_hi, f_hi = trial(hi)
+    while f_hi > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-    if best is None:
-        out = v @ b @ v.T
-        return (out + out.T) / 2.0, v, lam_seed
-    side = 0
-    while evals < _RESCUE_EVAL_CAP and budget >= 2:
-        if -1e-5 <= f_hi or hi - lo <= 1e-9 * hi:
+        x_hi, f_hi = trial(hi)
+    # Illinois halves the stale end's weight, so the true gap is kept apart
+    gap, side = f_hi, 0
+    for _ in range(max_evals):
+        # written so that a NaN ends the loop
+        if not (gap < -_C1_GAP and hi - lo > 1e-12 * hi):
             break
         lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < lam < hi:
-            lam = (lo + hi) / 2.0
-        w, vecs, f_mid = trial(lam)
-        evals += 1
-        budget -= 2
-        if f_mid <= 0.0:
-            hi, f_hi = lam, f_mid
-            best = (w, vecs, lam)
+        x, f = trial(lam)
+        if f <= 0.0:
+            hi, f_hi, x_hi, gap = lam, f, x, f
             if side == -1:
                 f_lo /= 2.0
             side = -1
         else:
-            lo, f_lo = lam, f_mid
+            lo, f_lo = lam, f
             if side == 1:
                 f_hi /= 2.0
             side = 1
-    w, vecs, lam = best
-    basis = v @ vecs
-    out = (basis * w) @ basis.T
-    return (out + out.T) / 2.0, basis, lam
+    return x_hi, hi
 
 
 def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None = None):
-    """Gradient ascent with alternating projections; returns ``(A, report)``.
+    """Gradient ascent, each step projected exactly; returns ``(A, report)``.
 
     Requires a sanitized constraint set. When either constraint side is
     empty the optimum is unconstrained or degenerate, so the identity metric
@@ -443,15 +209,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
         g = (diffs_d[keep] * w[:, None]).T @ diffs_d[keep]
         return (g + g.T) / 2.0
 
-    stall = (False, 0.0, 0.0)
-    a, basis, stall = _phase(
-        identity.copy(), None, m_s, m_s_sq, _FEAS_TOL, cfg.max_projections, stall
-    )
+    a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0, cfg.max_projections)
     g_prev = objective(a)
     trace = [g_prev]
     for _ in range(cfg.max_iters):
-        a = a + cfg.alpha * gradient(a)
-        a, basis, stall = _phase(a, basis, m_s, m_s_sq, _FEAS_TOL, cfg.max_projections, stall)
+        a, lam = _project_feasible(a + cfg.alpha * gradient(a), m_s, m_s_sq, lam, cfg.max_projections)
         g_now = objective(a)
         if not np.isfinite(g_now):
             raise FloatingPointError("objective became non-finite; check input data")
@@ -460,12 +222,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
             break
         g_prev = g_now
 
-    vals, _ = jacobi_eigh(a)
     report = LearnReport(
         objective_trace=trace,
         iterations_used=len(trace),
         c1_residual=max(0.0, float(np.tensordot(a, m_s)) - 1.0),
-        min_eigenvalue=float(vals.min()),
+        min_eigenvalue=float(np.linalg.eigvalsh(a).min()),
         learned=True,
     )
     return a, report

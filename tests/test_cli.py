@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conivat import load_iris
+from conivat import LearnConfig, conivat_pipeline, generate_from_labels, load_csv, load_iris, normalize_minmax
 from conivat.cli import main
 
 
@@ -43,6 +43,14 @@ class TestAssess:
         stdout = capsys.readouterr().out
         assert "suggest k=" in stdout
         assert (out / "cuts.csv").read_text().startswith("position,magnitude\n")
+
+    def test_cuts_csv_holds_plain_floats_equal_to_pipeline(self, iris_csv, tmp_path):
+        assert run_cli("assess", "--data", iris_csv, "--label-column", "species", "--out", str(tmp_path)) == 0
+        data, _ = load_csv(iris_csv, label_column="species")
+        vat, _ = conivat_pipeline(normalize_minmax(data), generate_from_labels(data, 30, seed=0), LearnConfig())
+        rows = (tmp_path / "cuts.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(1, vat.n))
+        assert [float(r.split(",")[1]) for r in rows] == list(vat.cut_magnitudes)
 
     def test_ivat_needs_no_constraints(self, unlabeled_csv, tmp_path):
         code = run_cli("assess", "--data", unlabeled_csv, "--variant", "ivat", "--out", str(tmp_path))

@@ -18,8 +18,8 @@ from conivat import (
     project_psd,
     sanitize,
 )
-from conivat.metric import EigenConvergenceError, jacobi_eigh
-from oracles import psd_clamp_charpoly, xing_metric_oracle
+from conivat.metric import _project_feasible
+from oracles import project_psd_halfspace, psd_clamp_charpoly, xing_metric_oracle
 
 
 def cs(similar, dissimilar, n) -> ConstraintSet:
@@ -174,29 +174,34 @@ class TestProjectPsd:
             assert np.linalg.eigvalsh(got).min() >= -1e-8
 
 
-class TestJacobiEigh:
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(37)
+class TestProjectFeasible:
+    @pytest.mark.parametrize("n_similar", [12, 2], ids=["full-rank", "rank-deficient"])
+    def test_matches_kkt_oracle(self, n_similar):
+        # fewer similar pairs than dimensions leave M_S singular, where the
+        # PSD cone and the C1 half-space can meet tangentially
+        rng = np.random.default_rng(67 + n_similar)
+        active = 0
         for _ in range(20):
-            p = int(rng.integers(1, 9))
-            a = rng.normal(size=(p, p))
+            p = int(rng.integers(3, 7))
+            vs = rng.normal(size=(n_similar, p))
+            m_s = vs.T @ vs
+            a = rng.normal(scale=3.0, size=(p, p))
             a = (a + a.T) / 2.0
-            vals, vecs = jacobi_eigh(a)
-            assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-9)
-            assert np.allclose(vecs @ vecs.T, np.eye(p), atol=1e-10)
-            assert np.allclose((vecs * vals) @ vecs.T, a, atol=1e-9)
+            x, lam = _project_feasible(a, m_s, float(np.sum(m_s * m_s)), 0.0, LearnConfig.max_projections)
+            want = project_psd_halfspace(a, m_s)
+            active += lam > 0.0
+            assert float(np.tensordot(x, m_s)) <= 1.0 + 1e-6
+            assert np.linalg.eigvalsh(x).min() >= -1e-8
+            assert np.linalg.norm(x - a) <= np.linalg.norm(want - a) + 1e-7 * np.linalg.norm(a)
+        assert active >= 10
 
-    def test_warm_start_basis_same_decomposition(self):
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(4, 4))
-        a = (a + a.T) / 2.0
-        vals, vecs = jacobi_eigh(a)
-        vals2, vecs2 = jacobi_eigh(a + 1e-3 * np.eye(4), basis=vecs)
-        assert np.allclose((vecs2 * vals2) @ vecs2.T, a + 1e-3 * np.eye(4), atol=1e-9)
-
-    def test_sweep_cap_raises(self):
-        with pytest.raises(EigenConvergenceError):
-            jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+    def test_one_refinement_still_feasible(self, blob_instance):
+        data, c = blob_instance
+        a, report = learn_metric(data, c, LearnConfig(max_projections=1))
+        assert report.learned
+        assert report.c1_residual <= 1e-6
+        assert similar_quadratic_sum(a, data, c) <= 1.0 + 1e-6
+        assert np.linalg.eigvalsh(a).min() >= -1e-8
 
 
 class TestLearnMetric:
@@ -284,7 +289,7 @@ class TestDissimilarityUnderMetric:
         rng = np.random.default_rng(53)
         data = FeatureMatrix(rng.normal(size=(6, 4)))
         a = random_psd(rng, 4)
-        vals, vecs = jacobi_eigh(a)
+        vals, vecs = np.linalg.eigh(a)
         root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
         y = data.points @ root
         want = np.array([[np.linalg.norm(u - v) for v in y] for u in y])
