@@ -57,6 +57,52 @@ def floyd_warshall_minimax(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_hac(d: np.ndarray, k: int, linkage: str) -> np.ndarray:
+    """Agglomerative labels by a full-matrix argmin per merge, O(N^3).
+
+    Same tie rule as ``conivat.clustering.hac``: the row-major first minimum
+    merges, the larger slot folding into the smaller. Labels are the dense
+    ranks of each cluster's lowest member.
+    """
+    combine = np.minimum if linkage == "single" else np.maximum
+    m = np.array(d, dtype=float)
+    n = m.shape[0]
+    np.fill_diagonal(m, np.inf)
+    labels = np.arange(n)
+    for _ in range(n - k):
+        flat = int(np.argmin(m))
+        i, j = flat // n, flat % n
+        if i > j:
+            i, j = j, i
+        m[i] = m[:, i] = combine(m[i], m[j])
+        m[j] = m[:, j] = np.inf
+        m[i, i] = np.inf
+        labels[labels == j] = i
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def full_closure_edit(d: np.ndarray, similar, dissimilar) -> np.ndarray:
+    """Constraint edit closed by Floyd-Warshall over every intermediate.
+
+    Must-link entries become 0 and cannot-link entries the ceiling max + 1
+    (or the next float above the max where adding 1 is lost); all-pairs
+    additive shortest paths follow, then the cannot-link entries are reset
+    to the ceiling.
+    """
+    out = np.array(d, dtype=float)
+    top = float(out.max())
+    ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
+    for i, j in similar:
+        out[i, j] = out[j, i] = 0.0
+    for i, j in dissimilar:
+        out[i, j] = out[j, i] = ceiling
+    for mid in range(out.shape[0]):
+        np.minimum(out, out[:, mid, None] + out[None, mid, :], out=out)
+    for i, j in dissimilar:
+        out[i, j] = out[j, i] = ceiling
+    return out
+
+
 def brute_force_pa(pred, truth) -> float:
     """Maximum match percentage over all one-to-one label-id assignments."""
     p = np.asarray(pred, dtype=int)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conivat import (
     ConstraintSet,
+    FeatureMatrix,
     Partition,
     ccl,
     cut_mst,
@@ -15,16 +18,38 @@ from conivat import (
     sanitize,
     ssl,
     suggest_k,
+    synth2,
     vat_reorder,
 )
+from conivat.clustering import _close_through_endpoints, _edit
 from conivat.evaluation import _draw_constraints, _run_seeds
 from conivat.vat import conivat_pipeline
-from oracles import canonical_labels, partitions_equal, random_dissimilarity
+from oracles import (
+    canonical_labels,
+    full_closure_edit,
+    naive_hac,
+    partitions_equal,
+    random_dissimilarity,
+)
 
 
 def line_dissimilarity(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     return np.abs(xs[:, None] - xs[None, :])
+
+
+def grid_dissimilarity(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Manhattan distances between points of a 4x4 integer grid: dense ties."""
+    pts = rng.integers(0, 4, (n, 2))
+    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1).astype(float)
+
+
+def random_constraints(rng: np.random.Generator, n: int) -> ConstraintSet:
+    """Sanitized similar/dissimilar pairs drawn uniformly, 1 to n-1 of them."""
+    count = int(rng.integers(1, n))
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(count)}
+    similar = {p for p in pairs if rng.random() < 0.5}
+    return sanitize(ConstraintSet(frozenset(similar), frozenset(pairs - similar), n))
 
 
 def assert_refines(fine: Partition, coarse: Partition) -> None:
@@ -128,6 +153,45 @@ class TestHac:
             for k in range(1, 10):
                 assert_refines(hac(d, k + 1, linkage), hac(d, k, linkage))
 
+    def test_matches_naive_loop_on_tied_grids(self):
+        # the skewed copy is asymmetric within the 1e-12 that validation
+        # accepts, so a merged column can undercut a row's cached minimum
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(2, 25))
+            d = grid_dissimilarity(rng, n)
+            skewed = d + 5e-13 * rng.integers(0, 2, (n, n))
+            np.fill_diagonal(skewed, 0.0)
+            for m in (d, skewed):
+                for linkage in ("single", "complete"):
+                    for k in range(1, n + 1):
+                        assert np.array_equal(hac(m, k, linkage).labels, naive_hac(m, k, linkage))
+
+    def test_matches_naive_loop_on_edited_synth2(self):
+        # every 6th synth2 point, edited as ssl (single) and ccl (complete) see it
+        data = normalize_minmax(synth2(0))
+        data = FeatureMatrix(data.points[::6], data.labels[::6])
+        d = euclidean_dissimilarity(data)
+        for rs in _run_seeds(0, 2):
+            cs = _draw_constraints(data, 30, rs)
+            edited, ceiling = _edit(d, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
+            for k in range(1, data.n + 1):
+                assert np.array_equal(hac(edited, k, "single").labels, naive_hac(edited, k, "single"))
+                assert np.array_equal(hac(closed, k, "complete").labels, naive_hac(closed, k, "complete"))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_naive_loop_on_drawn_integer_matrices(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        upper = data.draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        d += d.T
+        k = data.draw(st.integers(1, n), label="k")
+        linkage = data.draw(st.sampled_from(("single", "complete")), label="linkage")
+        assert np.array_equal(hac(d, k, linkage).labels, naive_hac(d, k, linkage))
+
 
 class TestCcl:
     def test_no_constraints_equals_plain_cl(self):
@@ -158,6 +222,35 @@ class TestCcl:
         rep = run_benchmark({"iris": iris}, ("ccl",), 30, 10, 0)
         assert rep.row("iris", "ccl").mean_pa == pytest.approx(86.7, abs=10.0)
 
+    def test_endpoint_closure_matches_full_closure_on_euclidean(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            x = rng.normal(size=(n, int(rng.integers(1, 5))))
+            d = euclidean_dissimilarity(FeatureMatrix(x))
+            cs = random_constraints(rng, n)
+            edited, ceiling = _edit(d, cs)
+            got = _close_through_endpoints(edited, cs, ceiling)
+            want = full_closure_edit(d, cs.similar, cs.dissimilar)
+            assert np.max(np.abs(got - want)) <= 1e-12 * ceiling
+            assert all(got[i, j] == got[j, i] == ceiling for i, j in cs.dissimilar)
+
+    def test_cannot_link_barrier_survives_huge_magnitudes(self):
+        # at 1e17 the spacing of floats exceeds 1, so max + 1 == max
+        data = normalize_minmax(synth2(0))
+        d = euclidean_dissimilarity(data)
+        big = d * 1e17
+        for rs in _run_seeds(0, 3):
+            cs = _draw_constraints(data, 30, rs)
+            barrier = np.zeros(d.shape, dtype=bool)
+            for i, j in cs.dissimilar:
+                barrier[i, j] = barrier[j, i] = True
+            edited, ceiling = _edit(big, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
+            for m in (edited, closed):
+                assert m[barrier].min() > m[~barrier].max()
+            assert np.array_equal(ccl(big, cs, 3).labels, ccl(d, cs, 3).labels)
+
 
 class TestSsl:
     def test_no_constraints_equals_plain_sl(self):
@@ -180,6 +273,18 @@ class TestSsl:
 
         rep = run_benchmark({"iris": iris}, ("ssl",), 30, 10, 0)
         assert rep.row("iris", "ssl").mean_pa == pytest.approx(67.8, abs=10.0)
+
+    def test_matches_single_linkage_on_full_closure(self):
+        # distinct-valued input; with tied heights at the cut the unclosed
+        # and closed matrices may break the tie differently
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n = int(rng.integers(3, 25))
+            d = random_dissimilarity(rng, n)
+            cs = random_constraints(rng, n)
+            closed = full_closure_edit(d, cs.similar, cs.dissimilar)
+            for k in range(1, n + 1):
+                assert partitions_equal(ssl(d, cs, k).labels, naive_hac(closed, k, "single"))
 
 
 class TestSuggestK:
