@@ -102,6 +102,10 @@ def _load_datasets(args) -> list[tuple[str, FeatureMatrix]]:
             data, dropped = load_csv(path, label_column=label_col)
         except (OSError, ValueError) as e:
             raise InputError(str(e)) from e
+        try:
+            normalize_minmax(data)  # every command rescales; fail here, where the file is named
+        except ValueError as e:
+            raise InputError(f"{path}: {e}") from e
         if dropped:
             print(f"note: {path}: dropped {dropped} unparseable row(s)", file=sys.stderr)
         out.append((Path(path).stem, data))

@@ -162,12 +162,23 @@ def load_iris() -> FeatureMatrix:
 def normalize_minmax(data: FeatureMatrix) -> FeatureMatrix:
     """Rescale each column to [0, 1]; constant columns map to all zeros.
 
-    Idempotent: normalizing an already-normalized matrix is exact.
+    Idempotent: normalizing an already-normalized matrix is exact. Raises
+    ``ValueError`` naming the first column whose range overflows a float
+    (say -1e308 to 1e308), which could not be rescaled.
     """
     pts = data.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    too_wide = np.flatnonzero(~np.isfinite(span))
+    if too_wide.size:
+        j = int(too_wide[0])
+        name = f" {data.names[j]!r}" if data.names is not None else ""
+        raise ValueError(
+            f"feature column {j}{name} spans {float(lo[j])!r} to {float(hi[j])!r}, "
+            "a range too wide to rescale in double precision"
+        )
     out = np.zeros_like(pts)
     nonconst = span > 0
     out[:, nonconst] = (pts[:, nonconst] - lo[nonconst]) / span[nonconst]

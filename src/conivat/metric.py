@@ -33,6 +33,8 @@ import numpy as np
 from .constraints import ConstraintSet
 from .data import FeatureMatrix
 
+_TILE = 128  # side of the square tiles the distance matrix is finished in
+
 
 @dataclass(frozen=True)
 class LearnConfig:
@@ -236,15 +238,31 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
     """All-pairs distance matrix under the quadratic form A.
 
     Equivalent to mapping points through A^(1/2) and taking Euclidean
-    distances; computed directly from the Gram matrix instead.
+    distances; computed directly from the Gram matrix G instead, as
+    sqrt(max(0, (s + s.T) / 2)) with s_ij = (G_ii + G_jj) - 2 G_ij. Each
+    pair of tiles mirrored across the diagonal is finished at once and
+    written back over G, so the n x n Gram matrix is the only one built.
     """
     x = data.points
     g = x @ a @ x.T
-    sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-    sq = (sq + sq.T) / 2.0
-    d = np.sqrt(np.maximum(sq, 0.0))
-    np.fill_diagonal(d, 0.0)
-    return d
+    gd = np.diag(g).copy()
+    n = g.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, n, _TILE):
+            cols = slice(j, j + _TILE)
+            s = np.add.outer(gd[rows], gd[cols])
+            s -= 2.0 * g[rows, cols]
+            s_mirror = np.add.outer(gd[cols], gd[rows])
+            s_mirror -= 2.0 * g[cols, rows]
+            s += s_mirror.T
+            s /= 2.0
+            np.maximum(s, 0.0, out=s)
+            np.sqrt(s, out=s)
+            g[rows, cols] = s
+            g[cols, rows] = s.T
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def euclidean_dissimilarity(data: FeatureMatrix) -> np.ndarray:

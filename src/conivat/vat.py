@@ -6,6 +6,14 @@ transform replaces each pairwise distance with the smallest possible
 worst edge over all connecting paths, which sharpens those blocks (iVAT).
 ConiVAT runs the same machinery on a matrix that has been reshaped by
 constraint-learned Mahalanobis distances and zeroed similar pairs.
+
+One Prim loop serves every traversal. The minimax distance between the
+objects a VAT traversal admits at positions s < t is the largest cut
+magnitude between them, max(cuts[s:t]) (the running-max lemma, see
+``minimax_transform``; Havens & Bezdek's efficient iVAT). So the pipeline
+computes iVAT from the distance matrix's cut sequence alone: the second
+traversal reads running-max rows of the first one's cuts, and the image is
+the running-max matrix of its own cuts. The minimax matrix is never stored.
 """
 
 from __future__ import annotations
@@ -21,21 +29,32 @@ from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclid
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
+_TILE = 128  # side of the square tiles the symmetry check compares
 
 
 def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
-    """Check square/symmetric/zero-diagonal/non-negative/finite; return as float array."""
+    """Check square/symmetric/zero-diagonal/non-negative/finite; return as float array.
+
+    Symmetry allows |d[i, j] - d[j, i]| <= 1e-12. It is checked tile by
+    tile, each tile on or above the diagonal against the transposed tile
+    below it, so no n x n temporary is built.
+    """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"dissimilarity matrix must be square, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
+    # min and max are NaN if any entry is, and infinite if any entry is
+    lo, hi = d.min(), d.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("dissimilarity matrix contains non-finite entries")
-    if np.any(d < 0):
+    if lo < 0:
         raise ValueError("dissimilarity matrix contains negative entries")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("dissimilarity matrix diagonal must be zero")
-    if np.max(np.abs(d - d.T)) > 1e-12:
-        raise ValueError("dissimilarity matrix must be symmetric")
+    n = d.shape[0]
+    for a in range(0, n, _TILE):
+        for b in range(a, n, _TILE):
+            if np.max(np.abs(d[a:a + _TILE, b:b + _TILE] - d[b:b + _TILE, a:a + _TILE].T)) > 1e-12:
+                raise ValueError("dissimilarity matrix must be symmetric")
     return d
 
 
@@ -60,6 +79,80 @@ class VatResult:
         return self.order.shape[0]
 
 
+def _prim(n: int, seed: int, row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modified-Prim VAT traversal from ``seed``; ``row(j)`` returns row j.
+
+    Each step admits the unvisited object closest to the visited set; ties
+    go to the lowest candidate index, then the lowest anchor index. Returns
+    (order, parent, cuts) as documented on ``VatResult``.
+    """
+    order = np.empty(n, dtype=int)
+    parent = np.full(n, -1, dtype=int)
+    cuts = np.empty(max(n - 1, 0), dtype=float)
+    pos = np.empty(n, dtype=int)
+    order[0] = seed
+    pos[seed] = 0
+
+    # best_dist[j]: min distance from unvisited j to the visited set;
+    # best_anchor[j]: lowest-index visited object attaining it.
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[seed] = False
+    best_dist = np.array(row(seed), dtype=float)
+    best_anchor = np.full(n, seed, dtype=int)
+    best_dist[seed] = np.inf
+    for t in range(1, n):
+        j = int(np.argmin(best_dist))
+        order[t] = j
+        parent[t] = pos[best_anchor[j]]
+        cuts[t - 1] = best_dist[j]
+        pos[j] = t
+        unvisited[j] = False
+        r = row(j)
+        closer = unvisited & (r < best_dist)
+        best_dist[closer] = r[closer]
+        best_anchor[closer] = j
+        tied = unvisited & (r == best_dist) & (best_anchor > j)
+        best_anchor[tied] = j
+        best_dist[j] = np.inf
+    return order, parent, cuts
+
+
+def _minimax_row(cuts: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+    """Row t of the minimax matrix in the VAT order that produced ``cuts``.
+
+    Entry s is max(cuts[min(s, t):max(s, t)]): two running maxima that
+    start next to the diagonal and run outward.
+    """
+    out[t] = 0.0
+    np.maximum.accumulate(cuts[:t][::-1], out=out[:t][::-1])
+    np.maximum.accumulate(cuts[t:], out=out[t + 1:])
+    return out
+
+
+def _minimax_reordered(cuts: np.ndarray) -> np.ndarray:
+    """The whole minimax matrix in the VAT order that produced ``cuts``.
+
+    Row t below the diagonal is row t-1 raised to cuts[t-1], and above it
+    row t+1 raised to cuts[t], so each row is one vector maximum.
+    """
+    n = cuts.size + 1
+    out = np.empty((n, n))
+    for t in range(1, n):
+        np.maximum(out[t - 1, :t - 1], cuts[t - 1], out=out[t, :t - 1])
+        out[t, t - 1] = cuts[t - 1]
+    for t in range(n - 2, -1, -1):
+        np.maximum(out[t + 1, t + 2:], cuts[t], out=out[t, t + 2:])
+        out[t, t + 1] = cuts[t]
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
+    n = d.shape[0]
+    return _prim(n, int(np.argmax(d)) // n, d.__getitem__)
+
+
 def vat_reorder(d: np.ndarray) -> VatResult:
     """Reorder ``d`` by the modified-Prim VAT traversal.
 
@@ -68,67 +161,69 @@ def vat_reorder(d: np.ndarray) -> VatResult:
     ties go to the lowest candidate index, then the lowest anchor index.
     """
     d = validate_dissimilarity(d)
-    n = d.shape[0]
-    order = np.empty(n, dtype=int)
-    parent = np.full(n, -1, dtype=int)
-    cuts = np.empty(max(n - 1, 0), dtype=float)
-    seed = int(np.argmax(d)) // n
-    order[0] = seed
-
-    # best_dist[j]: min distance from unvisited j to the visited set;
-    # best_anchor[j]: lowest-index visited object attaining it.
-    pos = {seed: 0}
-    unvisited = np.ones(n, dtype=bool)
-    unvisited[seed] = False
-    best_dist = d[seed].copy()
-    best_anchor = np.full(n, seed, dtype=int)
-    best_dist[seed] = np.inf
-    for t in range(1, n):
-        j = int(np.argmin(best_dist))
-        order[t] = j
-        parent[t] = pos[int(best_anchor[j])]
-        cuts[t - 1] = best_dist[j]
-        pos[j] = t
-        unvisited[j] = False
-        closer = unvisited & (d[j] < best_dist)
-        best_dist[closer] = d[j][closer]
-        best_anchor[closer] = j
-        tied = unvisited & (d[j] == best_dist) & (best_anchor > j)
-        best_anchor[tied] = j
-        best_dist[j] = np.inf
-    return VatResult(order=order, reordered=d[np.ix_(order, order)], mst_parent=parent, cut_magnitudes=cuts)
+    order, parent, cuts = _vat_traversal(d)
+    reordered = d.take(order, axis=0).take(order, axis=1)
+    return VatResult(order=order, reordered=reordered, mst_parent=parent, cut_magnitudes=cuts)
 
 
 def minimax_transform(d: np.ndarray) -> np.ndarray:
     """Minimum-over-paths maximum-edge distance for every pair, original order.
 
-    Runs in O(N^2) after VAT reordering: the t-th admitted object reaches
-    every earlier object through its MST parent, so its minimax row is
-    max(parent edge, parent's row). Output is ultrametric and entrywise
-    dominated by the input.
+    Running-max lemma: if a VAT traversal of ``d`` admits objects with cut
+    magnitudes ``cuts``, the minimax distance between the objects at ordered
+    positions s < t is max(cuts[s:t]). Take any threshold M. Each component
+    of the graph of edges <= M is admitted as one contiguous run, and a run
+    starts exactly at a cut > M, so positions s..t share a component when
+    no cut in between exceeds M. Conversely the prefix before the largest
+    cut can only be left through an edge at least that large. So one
+    traversal gives every row in O(N), with no per-pair path search. Output
+    is ultrametric and entrywise dominated by the input.
     """
-    vat = vat_reorder(d)
-    n = vat.n
-    r = vat.reordered
-    dp = np.zeros((n, n))
-    for t in range(1, n):
-        j = vat.mst_parent[t]
-        dp[t, :t] = np.maximum(r[t, j], dp[j, :t])
-        dp[:t, t] = dp[t, :t]
-    out = np.empty_like(dp)
-    out[np.ix_(vat.order, vat.order)] = dp
+    d = validate_dissimilarity(d)
+    order, _, cuts = _vat_traversal(d)
+    n = order.size
+    pos = np.argsort(order)
+    out = np.empty((n, n))
+    buf = np.empty(n)
+    for t in range(n):
+        np.take(_minimax_row(cuts, t, buf), pos, out=out[order[t]])
     return out
 
 
-def impose_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Copy of ``d`` with every similar pair's distance set to zero."""
-    d = np.array(d, dtype=float)
+def _ivat(order: np.ndarray, cuts: np.ndarray) -> VatResult:
+    """``vat_reorder(minimax_transform(d))`` from the VAT traversal of ``d`` alone.
+
+    Every row of the minimax matrix holds the largest cut, so its VAT seeds
+    at object 0, and each row it reads is a running-max row of ``cuts``
+    taken into the original order. The minimax matrix is its own minimax
+    transform, so by the lemma on ``minimax_transform`` the reordered matrix
+    is the running-max matrix of the second traversal's cuts. No n x n
+    matrix is built before that one.
+    """
+    n = order.size
+    pos = np.argsort(order)
+    buf = np.empty(n)
+
+    def minimax_row(j: int) -> np.ndarray:
+        return _minimax_row(cuts, int(pos[j]), buf)[pos]
+
+    order2, parent2, cuts2 = _prim(n, 0, minimax_row)
+    return VatResult(order=order2, reordered=_minimax_reordered(cuts2), mst_parent=parent2, cut_magnitudes=cuts2)
+
+
+def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """Set every similar pair's distance in ``d`` to zero, in place."""
     n = d.shape[0]
     for i, j in cs.similar:
         if i >= n or j >= n:
             raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
         d[i, j] = d[j, i] = 0.0
     return d
+
+
+def impose_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """Copy of ``d`` with every similar pair's distance set to zero."""
+    return _zero_similar(np.array(d, dtype=float), cs)
 
 
 def conivat_pipeline(
@@ -143,6 +238,10 @@ def conivat_pipeline(
     (learned metric first), ``mtd_vat`` (zero similar pairs, no learning),
     ``conivat`` (both). Raw constraints are sanitized here so the learner
     and the imposition step see the same closed, conflict-free sets.
+
+    The result equals ``vat_reorder(minimax_transform(d))`` bit for bit,
+    but the distance matrix is edited in place and dropped after its one
+    traversal, so at most one n x n float matrix is alive at a time.
     """
     variant = variant.lower()
     if variant not in VARIANTS:
@@ -155,5 +254,7 @@ def conivat_pipeline(
     else:
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
-        d = impose_similar(d, cs)
-    return vat_reorder(minimax_transform(d)), report
+        _zero_similar(d, cs)
+    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
+    del d
+    return _ivat(order, cuts), report

@@ -57,6 +57,31 @@ def floyd_warshall_minimax(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram_distances(points: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Distances under A from the whole Gram matrix at once, with no tiling."""
+    g = points @ a @ points.T
+    sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
+    d = np.sqrt(np.maximum((sq + sq.T) / 2.0, 0.0))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def integer_dissimilarity(rng: np.random.Generator, n: int, levels: int = 3) -> np.ndarray:
+    """Symmetric zero-diagonal matrix of small integers: dense in ties and zeros."""
+    m = np.triu(rng.integers(0, levels, (n, n)).astype(float), 1)
+    return m + m.T
+
+
+def running_max_image(cuts) -> np.ndarray:
+    """Matrix whose (s, t) entry is the largest of cuts[s:t] (or cuts[t:s])."""
+    n = len(cuts) + 1
+    out = np.zeros((n, n))
+    for s in range(n):
+        for t in range(s + 1, n):
+            out[s, t] = out[t, s] = max(cuts[s:t])
+    return out
+
+
 def naive_hac(d: np.ndarray, k: int, linkage: str) -> np.ndarray:
     """Agglomerative labels by a full-matrix argmin per merge, O(N^3).
 
@@ -288,6 +313,21 @@ def xing_metric_oracle(points, similar, dissimilar):
         if gain < 1e-10:
             break
     return a, g_a, m_s
+
+
+def rank_render(d: np.ndarray) -> np.ndarray:
+    """Rank-scale pixels: each entry's rank among all distinct off-diagonal values.
+
+    A single distinct value renders 255 off the zero entries; otherwise the
+    rank r of m maps to round(255 r / (m - 1)).
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    distinct = np.unique(d[~np.eye(n, dtype=bool)])
+    if distinct.size <= 1:
+        return np.where(d == 0.0, 0, 255).astype(np.uint8)
+    ranks = np.searchsorted(distinct, d)
+    return np.rint(255.0 * ranks / (distinct.size - 1)).astype(np.uint8)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

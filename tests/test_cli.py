@@ -171,6 +171,19 @@ class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         assert run_cli("assess", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["assess", "benchmark"])
+    def test_column_too_wide_to_rescale_is_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = ["x,y,label"] + [f"{i},{(-1) ** i * 1e308!r},{i % 2}" for i in range(8)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = run_cli(command, "--data", str(path), "--label-column", "label", "--n-constraints", "4",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: feature column 1 'y' spans -1e+308 to 1e+308")
+
     def test_bad_constraint_line(self, iris_csv, tmp_path, capsys):
         cfile = tmp_path / "bad.txt"
         cfile.write_text("S 0 1\nX 2 3\n", encoding="utf-8")

@@ -126,6 +126,20 @@ class TestNormalizeMinmax:
             assert np.all(once.points >= 0.0) and np.all(once.points <= 1.0)
             assert np.array_equal(normalize_minmax(once).points, once.points)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_overflowing_a_float_is_named_without_warnings(self):
+        pts = np.array([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"feature column 1 'b' spans -1e\+308 to 1e\+308"):
+            normalize_minmax(FeatureMatrix(pts, names=["a", "b"]))
+        with pytest.raises(ValueError, match=r"feature column 1 spans"):
+            normalize_minmax(FeatureMatrix(pts))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_widest_finite_range_still_rescales(self):
+        pts = np.array([[0.0, 1.7e308], [1.0, 0.0], [2.0, 8.5e307]])
+        out = normalize_minmax(FeatureMatrix(pts)).points
+        assert np.array_equal(out[:, 1], [1.0, 0.0, 0.5])
+
     def test_labels_and_names_preserved(self):
         data = FeatureMatrix(np.array([[0.0], [2.0]]), labels=[1, 0], names=["f"])
         out = normalize_minmax(data)

@@ -18,8 +18,8 @@ from conivat import (
     project_psd,
     sanitize,
 )
-from conivat.metric import _project_feasible
-from oracles import project_psd_halfspace, psd_clamp_charpoly, xing_metric_oracle
+from conivat.metric import _TILE, _project_feasible
+from oracles import gram_distances, project_psd_halfspace, psd_clamp_charpoly, xing_metric_oracle
 
 
 def cs(similar, dissimilar, n) -> ConstraintSet:
@@ -294,6 +294,13 @@ class TestDissimilarityUnderMetric:
         y = data.points @ root
         want = np.array([[np.linalg.norm(u - v) for v in y] for u in y])
         assert np.allclose(dissimilarity_under_metric(data, a), want, atol=1e-9, rtol=0)
+
+    def test_tiles_match_whole_gram_formula_bit_for_bit(self):
+        # 267 rows: two full tiles and a partial one, on and off the diagonal
+        rng = np.random.default_rng(67)
+        data = FeatureMatrix(rng.normal(size=(2 * _TILE + 11, 3)))
+        a = random_psd(rng, 3)
+        assert np.array_equal(dissimilarity_under_metric(data, a), gram_distances(data.points, a))
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(59)

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conivat import (
     ConstraintSet,
     RdiImage,
+    VatResult,
     conivat_pipeline,
+    generate_from_labels,
     render,
     vat_reorder,
     write_pgm,
 )
-from oracles import random_dissimilarity, read_pgm
+from conivat.rdi import _BLOCK_ROWS
+from oracles import integer_dissimilarity, random_dissimilarity, rank_render, read_pgm
 
 
 def as_vat(d):
@@ -85,6 +90,53 @@ class TestRender:
         assert positions == list(range(positions[0], positions[0] + 10))
         block = img.pixels[np.ix_(positions, positions)]
         assert np.all(block == 0)
+
+
+class TestRankRenderMatchesOracle:
+    """Rank pixels through the level-step thresholds against ranking every entry."""
+
+    def test_random_tied_zero_and_single_valued(self):
+        rng = np.random.default_rng(83)
+        mats = [random_dissimilarity(rng, n) for n in (2, 3, 17, 40)]
+        # 2 and 4 levels: heavy ties; 300 levels: more distinct values than pixel levels
+        mats += [integer_dissimilarity(rng, n, levels) for n in (5, 30) for levels in (2, 4, 300)]
+        mats += [np.zeros((5, 5)), np.ones((6, 6)) - np.eye(6), 7.0 * (np.ones((3, 3)) - np.eye(3))]
+        for d in mats:
+            vat = vat_reorder(d)
+            assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
+
+    def test_both_scales_across_row_blocks(self):
+        d = integer_dissimilarity(np.random.default_rng(97), _BLOCK_ROWS + 44, levels=1000)
+        vat = vat_reorder(d)
+        assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
+        want = np.rint(255.0 * vat.reordered / vat.reordered.max()).astype(np.uint8)
+        assert np.array_equal(render(vat, scale="linear").pixels, want)
+
+    def test_pipeline_images(self, two_blobs):
+        cs = generate_from_labels(two_blobs, 12, seed=2)
+        for variant in ("ivat", "conivat"):
+            vat, _ = conivat_pipeline(two_blobs, cs, variant=variant)
+            assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
+
+    def test_diagonal_within_tolerance_keeps_its_rank(self):
+        # a diagonal entry of 5e-13 ranks above the off-diagonal zeros
+        d = integer_dissimilarity(np.random.default_rng(89), 8)
+        np.fill_diagonal(d, 5e-13)
+        vat = vat_reorder(d)
+        px = render(vat, scale="rank").pixels
+        assert np.array_equal(px, rank_render(vat.reordered))
+        assert np.all(np.diag(px) == 128)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_oracle_on_drawn_integer_matrices(self, data):
+        # up to 435 pairs, so some draws hold more distinct values than pixel levels
+        n = data.draw(st.integers(1, 30), label="n")
+        upper = data.draw(st.lists(st.integers(0, 600), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        vat = VatResult(np.arange(n), d + d.T, np.arange(n) - 1, np.zeros(max(n - 1, 0)))
+        assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
 
 
 class TestWritePgm:

@@ -2,21 +2,52 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conivat import (
     ConstraintSet,
     FeatureMatrix,
     conivat_pipeline,
     cut_mst,
+    dissimilarity_under_metric,
     euclidean_dissimilarity,
+    generate_from_labels,
     impose_similar,
+    learn_metric,
     minimax_transform,
     partition_accuracy,
     sanitize,
     validate_dissimilarity,
     vat_reorder,
 )
-from oracles import floyd_warshall_minimax, kruskal_mst_weights, random_dissimilarity
+from conivat.vat import _TILE, VARIANTS, _ivat, _vat_traversal
+from oracles import (
+    floyd_warshall_minimax,
+    integer_dissimilarity,
+    kruskal_mst_weights,
+    random_dissimilarity,
+    running_max_image,
+)
+
+VAT_FIELDS = ("order", "reordered", "mst_parent", "cut_magnitudes")
+
+
+def assert_same_vat(got, want):
+    for field in VAT_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def composed_route(data, cs, variant):
+    """vat_reorder(minimax_transform(d)) on the matrix the pipeline builds for ``variant``."""
+    cs = sanitize(cs)
+    if variant in ("metric_ivat", "conivat"):
+        d = dissimilarity_under_metric(data, learn_metric(data, cs)[0])
+    else:
+        d = euclidean_dissimilarity(data)
+    if variant in ("mtd_vat", "conivat"):
+        d = impose_similar(d, cs)
+    return vat_reorder(minimax_transform(d))
 
 
 @pytest.fixture()
@@ -47,6 +78,28 @@ class TestValidateDissimilarity:
             validate_dissimilarity(np.array([[1.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             validate_dissimilarity(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+    def test_non_finite_reported_before_negative(self):
+        d = np.zeros((3, 3))
+        d[0, 1] = d[1, 0] = -1.0
+        d[2, 1] = d[1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_dissimilarity(d)
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(_TILE - 1, _TILE), (_TILE, _TILE - 1), (2 * _TILE + 4, 2 * _TILE), (0, 2 * _TILE + 4)],
+        ids=["tile-edge-upper", "tile-edge-lower", "last-tile", "last-column-tile"],
+    )
+    def test_symmetry_tolerance_holds_at_tile_edges(self, i, j):
+        d = random_dissimilarity(np.random.default_rng(71), 2 * _TILE + 5)
+        bad = d.copy()
+        bad[i, j] += 2e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            validate_dissimilarity(bad)
+        ok = d.copy()
+        ok[i, j] += 5e-13
+        assert validate_dissimilarity(ok) is ok
 
 
 class TestVatReorder:
@@ -144,6 +197,16 @@ class TestMinimaxTransform:
         weights = set(kruskal_mst_weights(d).tolist()) | {0.0}
         assert set(np.unique(out).tolist()) <= weights
 
+    def test_running_max_of_cuts_is_minimax_in_vat_order(self):
+        rng = np.random.default_rng(47)
+        for i in range(40):
+            n = int(rng.integers(1, 30))
+            d = random_dissimilarity(rng, n) if i % 2 else integer_dissimilarity(rng, n)
+            vat = vat_reorder(d)
+            fw = floyd_warshall_minimax(d)
+            assert np.array_equal(running_max_image(vat.cut_magnitudes), fw[np.ix_(vat.order, vat.order)])
+            assert np.array_equal(minimax_transform(d), fw)
+
     def test_cut_magnitudes_survive_transform(self):
         rng = np.random.default_rng(39)
         d = random_dissimilarity(rng, 20)
@@ -233,3 +296,35 @@ class TestPipeline:
         v2, _ = conivat_pipeline(two_blobs, variant="ivat")
         assert np.array_equal(v1.reordered, v2.reordered)
         assert report is not None and not report.learned
+
+
+class TestPipelineEqualsComposition:
+    """The pipeline's one-matrix route against vat_reorder(minimax_transform(d))."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_fields_on_two_blobs(self, two_blobs, variant):
+        cs = generate_from_labels(two_blobs, 12, seed=1)
+        vat, _ = conivat_pipeline(two_blobs, cs, variant=variant)
+        assert_same_vat(vat, composed_route(two_blobs, cs, variant))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_fields_on_tie_dense_integer_grids(self, variant):
+        # points on a 3 x 3 grid: many duplicate points and equal distances
+        rng = np.random.default_rng(61)
+        for _ in range(8):
+            n = int(rng.integers(6, 30))
+            data = FeatureMatrix(rng.integers(0, 3, (n, 2)).astype(float), rng.integers(0, 3, n))
+            cs = generate_from_labels(data, 10, seed=int(rng.integers(1000)))
+            vat, _ = conivat_pipeline(data, cs, variant=variant)
+            assert_same_vat(vat, composed_route(data, cs, variant))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_composition_on_drawn_integer_matrices(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        upper = data.draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        d = d + d.T
+        order, _, cuts = _vat_traversal(d)
+        assert_same_vat(_ivat(order, cuts), vat_reorder(minimax_transform(d)))
