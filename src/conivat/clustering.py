@@ -1,17 +1,18 @@
 """Partition extraction from VAT MSTs plus baseline hierarchical algorithms.
 
-Cutting the k-1 largest MST edges of a VAT result yields exactly the
-single-linkage clusters of the underlying matrix, so ``cut_mst`` is the
-cheap SL back end used by the pipelines. ``hac`` provides the classical
-agglomerative reference (single or complete linkage); it caches each row's
-first minimum, so a merge touches only the rows whose minimum it can move.
-``ccl``/``ssl`` are the constraint-editing baselines of Klein et al. (ICML
-2002): zero must-link entries and set cannot-link entries past the matrix
-maximum. ``ccl`` then propagates the edits by additive shortest paths,
-which for a metric input need only the constraint endpoints as
-intermediates, and clusters with complete linkage. ``ssl`` clusters the
-edited matrix with single linkage directly, since the propagation cannot
-change single-linkage merge heights.
+Cutting the k-1 largest MST edges of a VAT traversal yields exactly the
+single-linkage clusters of the underlying matrix (Gower & Ross, 1969), so
+every single-linkage result here is such a cut: ``cut_mst`` for the
+pipelines, and ``hac(..., "single")`` over a traversal of its own input.
+``hac`` with complete linkage is the classical agglomerative loop; it
+caches each row's first minimum, so a merge touches only the rows whose
+minimum it can move. ``ccl``/``ssl`` are the constraint-editing baselines
+of Klein et al. (ICML 2002): zero must-link entries and set cannot-link
+entries past the matrix maximum. ``ccl`` then propagates the edits by
+additive shortest paths, which for a metric input need only the constraint
+endpoints as intermediates, and clusters with complete linkage. ``ssl``
+clusters the edited matrix with single linkage directly, since the
+propagation cannot change single-linkage merge heights.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet
-from .vat import VatResult, validate_dissimilarity
+from .vat import VatResult, _vat_traversal, validate_dissimilarity
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,12 @@ class Partition:
         return self.labels.shape[0]
 
 
-def cut_mst(vat: VatResult, k: int) -> Partition:
-    """Partition into k clusters by cutting the k-1 largest MST edges.
-
-    Ties between equal-weight edges cut the one admitted later in the VAT
-    ordering. Cluster ids run 0..k-1 in order of first appearance along the
-    ordering; labels are returned in original index order.
-    """
-    n = vat.n
+def _cut_tree(order: np.ndarray, parent: np.ndarray, cuts: np.ndarray, k: int) -> Partition:
+    """Cut the k-1 largest edges of a VAT traversal's MST; see ``cut_mst``."""
+    n = order.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    w = vat.cut_magnitudes
-    by_weight = np.lexsort((np.arange(n - 1), w))
+    by_weight = np.lexsort((np.arange(n - 1), cuts))
     cut = set(by_weight[n - k:].tolist())
     ordered_labels = np.zeros(n, dtype=int)
     next_id = 0
@@ -65,19 +60,32 @@ def cut_mst(vat: VatResult, k: int) -> Partition:
             next_id += 1
             ordered_labels[t] = next_id
         else:
-            ordered_labels[t] = ordered_labels[vat.mst_parent[t]]
+            ordered_labels[t] = ordered_labels[parent[t]]
     labels = np.empty(n, dtype=int)
-    labels[vat.order] = ordered_labels
+    labels[order] = ordered_labels
     return Partition(labels=labels, k=k)
+
+
+def cut_mst(vat: VatResult, k: int) -> Partition:
+    """Partition into k clusters by cutting the k-1 largest MST edges.
+
+    Ties between equal-weight edges cut the one admitted later in the VAT
+    ordering. Cluster ids run 0..k-1 in order of first appearance along the
+    ordering; labels are returned in original index order.
+    """
+    return _cut_tree(vat.order, vat.mst_parent, vat.cut_magnitudes, k)
 
 
 def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
     """Agglomerative clustering from singletons down to k clusters.
 
     ``linkage`` is "single" (merge distance = min pairwise) or "complete"
-    (max pairwise). Merge ties pick the lexicographically smallest pair of
-    cluster representatives, a cluster's representative being its lowest
-    member index.
+    (max pairwise). Single linkage is ``cut_mst`` of the VAT traversal of
+    ``d``: among equal-weight MST edges the later-admitted one is cut, and
+    ids follow first appearance along the VAT order. Complete linkage
+    merges until k clusters remain; merge ties pick the lexicographically
+    smallest pair of cluster representatives, a cluster's representative
+    being its lowest member index, and ids follow the representatives.
     """
     d = validate_dissimilarity(d)
     n = d.shape[0]
@@ -85,7 +93,8 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if linkage not in ("single", "complete"):
         raise ValueError(f"linkage must be 'single' or 'complete', got {linkage!r}")
-    combine = np.minimum if linkage == "single" else np.maximum
+    if linkage == "single":
+        return _cut_tree(*_vat_traversal(d), k)
 
     # Slot index == representative index; merging folds the larger slot
     # into the smaller so representatives stay minimal. Each row caches its
@@ -101,7 +110,7 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
         j = int(nbr[i])
         if i > j:
             i, j = j, i
-        m[i] = m[:, i] = combine(m[i], m[j])
+        m[i] = m[:, i] = np.maximum(m[i], m[j])
         m[j] = m[:, j] = np.inf
         m[i, i] = np.inf
         labels[labels == j] = i

@@ -7,13 +7,13 @@ worst edge over all connecting paths, which sharpens those blocks (iVAT).
 ConiVAT runs the same machinery on a matrix that has been reshaped by
 constraint-learned Mahalanobis distances and zeroed similar pairs.
 
-One Prim loop serves every traversal. The minimax distance between the
-objects a VAT traversal admits at positions s < t is the largest cut
-magnitude between them, max(cuts[s:t]) (the running-max lemma, see
-``minimax_transform``; Havens & Bezdek's efficient iVAT). So the pipeline
-computes iVAT from the distance matrix's cut sequence alone: the second
-traversal reads running-max rows of the first one's cuts, and the image is
-the running-max matrix of its own cuts. The minimax matrix is never stored.
+One Prim traversal of the distance matrix serves an assessment. The minimax
+distance between the objects a VAT traversal admits at positions s < t is
+the largest cut magnitude between them, max(cuts[s:t]) (the running-max
+lemma, see ``minimax_transform``). So, as in Havens & Bezdek's efficient
+iVAT, the pipeline shows the minimax matrix in the VAT order of the
+distance matrix: its image is the running-max matrix of that traversal's
+cuts, and the minimax matrix is never stored in the original order.
 """
 
 from __future__ import annotations
@@ -79,13 +79,14 @@ class VatResult:
         return self.order.shape[0]
 
 
-def _prim(n: int, seed: int, row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modified-Prim VAT traversal from ``seed``; ``row(j)`` returns row j.
+def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modified-Prim VAT traversal of a validated ``d`` from ``seed``.
 
     Each step admits the unvisited object closest to the visited set; ties
     go to the lowest candidate index, then the lowest anchor index. Returns
     (order, parent, cuts) as documented on ``VatResult``.
     """
+    n = d.shape[0]
     order = np.empty(n, dtype=int)
     parent = np.full(n, -1, dtype=int)
     cuts = np.empty(max(n - 1, 0), dtype=float)
@@ -97,7 +98,7 @@ def _prim(n: int, seed: int, row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # best_anchor[j]: lowest-index visited object attaining it.
     unvisited = np.ones(n, dtype=bool)
     unvisited[seed] = False
-    best_dist = np.array(row(seed), dtype=float)
+    best_dist = d[seed].copy()
     best_anchor = np.full(n, seed, dtype=int)
     best_dist[seed] = np.inf
     for t in range(1, n):
@@ -107,7 +108,7 @@ def _prim(n: int, seed: int, row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cuts[t - 1] = best_dist[j]
         pos[j] = t
         unvisited[j] = False
-        r = row(j)
+        r = d[j]
         closer = unvisited & (r < best_dist)
         best_dist[closer] = r[closer]
         best_anchor[closer] = j
@@ -149,8 +150,7 @@ def _minimax_reordered(cuts: np.ndarray) -> np.ndarray:
 
 def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
-    n = d.shape[0]
-    return _prim(n, int(np.argmax(d)) // n, d.__getitem__)
+    return _prim(d, int(np.argmax(d)) // d.shape[0])
 
 
 def vat_reorder(d: np.ndarray) -> VatResult:
@@ -162,7 +162,7 @@ def vat_reorder(d: np.ndarray) -> VatResult:
     """
     d = validate_dissimilarity(d)
     order, parent, cuts = _vat_traversal(d)
-    reordered = d.take(order, axis=0).take(order, axis=1)
+    reordered = d[np.ix_(order, order)]
     return VatResult(order=order, reordered=reordered, mst_parent=parent, cut_magnitudes=cuts)
 
 
@@ -190,27 +190,6 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ivat(order: np.ndarray, cuts: np.ndarray) -> VatResult:
-    """``vat_reorder(minimax_transform(d))`` from the VAT traversal of ``d`` alone.
-
-    Every row of the minimax matrix holds the largest cut, so its VAT seeds
-    at object 0, and each row it reads is a running-max row of ``cuts``
-    taken into the original order. The minimax matrix is its own minimax
-    transform, so by the lemma on ``minimax_transform`` the reordered matrix
-    is the running-max matrix of the second traversal's cuts. No n x n
-    matrix is built before that one.
-    """
-    n = order.size
-    pos = np.argsort(order)
-    buf = np.empty(n)
-
-    def minimax_row(j: int) -> np.ndarray:
-        return _minimax_row(cuts, int(pos[j]), buf)[pos]
-
-    order2, parent2, cuts2 = _prim(n, 0, minimax_row)
-    return VatResult(order=order2, reordered=_minimax_reordered(cuts2), mst_parent=parent2, cut_magnitudes=cuts2)
-
-
 def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
     """Set every similar pair's distance in ``d`` to zero, in place."""
     n = d.shape[0]
@@ -234,14 +213,19 @@ def conivat_pipeline(
 ) -> tuple[VatResult, LearnReport | None]:
     """Run one assessment variant end to end; returns (VatResult, report?).
 
-    Variants: ``ivat`` (Euclidean -> minimax -> VAT), ``metric_ivat``
+    Variants: ``ivat`` (Euclidean distances), ``metric_ivat``
     (learned metric first), ``mtd_vat`` (zero similar pairs, no learning),
     ``conivat`` (both). Raw constraints are sanitized here so the learner
     and the imposition step see the same closed, conflict-free sets.
 
-    The result equals ``vat_reorder(minimax_transform(d))`` bit for bit,
-    but the distance matrix is edited in place and dropped after its one
-    traversal, so at most one n x n float matrix is alive at a time.
+    For the variant's distance matrix ``d``, ``order``, ``mst_parent`` and
+    ``cut_magnitudes`` are those of ``vat_reorder(d)``, and ``reordered`` is
+    ``minimax_transform(d)`` taken in that order. That order is a valid Prim
+    order of the minimax matrix too: no minimax distance across a cut
+    (visited, rest) is below the lightest edge of ``d`` crossing it, which
+    Prim admits next. The distance matrix is edited in place and dropped
+    after its one traversal, so at most one n x n float matrix is alive at a
+    time.
     """
     variant = variant.lower()
     if variant not in VARIANTS:
@@ -255,6 +239,7 @@ def conivat_pipeline(
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
-    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
     del d
-    return _ivat(order, cuts), report
+    vat = VatResult(order=order, reordered=_minimax_reordered(cuts), mst_parent=parent, cut_magnitudes=cuts)
+    return vat, report

@@ -85,9 +85,9 @@ def running_max_image(cuts) -> np.ndarray:
 def naive_hac(d: np.ndarray, k: int, linkage: str) -> np.ndarray:
     """Agglomerative labels by a full-matrix argmin per merge, O(N^3).
 
-    Same tie rule as ``conivat.clustering.hac``: the row-major first minimum
-    merges, the larger slot folding into the smaller. Labels are the dense
-    ranks of each cluster's lowest member.
+    The row-major first minimum merges, the larger slot folding into the
+    smaller: the tie rule of ``conivat.clustering.hac`` with complete
+    linkage. Labels are the dense ranks of each cluster's lowest member.
     """
     combine = np.minimum if linkage == "single" else np.maximum
     m = np.array(d, dtype=float)
@@ -104,6 +104,38 @@ def naive_hac(d: np.ndarray, k: int, linkage: str) -> np.ndarray:
         m[i, i] = np.inf
         labels[labels == j] = i
     return np.unique(labels, return_inverse=True)[1]
+
+
+def is_single_linkage_partition(d: np.ndarray, labels, k: int) -> bool:
+    """Whether ``labels`` is a single-linkage k-partition of ``d`` under some tie rule.
+
+    Let t be the smallest of the k-1 largest Kruskal MST weights (infinite
+    for k = 1). Every single-linkage dendrogram cut at k clusters splits all
+    MST edges above t and some at t, so a partition is one iff it has k
+    clusters, no edge below t joins two clusters, and each cluster is
+    connected by its own edges of weight at most t.
+    """
+    d = np.asarray(d, dtype=float)
+    labels = np.asarray(labels)
+    n = d.shape[0]
+    ids = np.unique(labels)
+    if labels.shape != (n,) or ids.size != k:
+        return False
+    t = kruskal_mst_weights(d)[n - k] if k > 1 else np.inf
+    if np.any((d < t) & (labels[:, None] != labels[None, :])):
+        return False
+    for lab in ids:
+        members = np.flatnonzero(labels == lab)
+        near = d[np.ix_(members, members)] <= t
+        reached = np.zeros(members.size, dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = near[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        if not reached.all():
+            return False
+    return True
 
 
 def full_closure_edit(d: np.ndarray, similar, dissimilar) -> np.ndarray:

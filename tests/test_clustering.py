@@ -27,6 +27,7 @@ from conivat.vat import conivat_pipeline
 from oracles import (
     canonical_labels,
     full_closure_edit,
+    is_single_linkage_partition,
     naive_hac,
     partitions_equal,
     random_dissimilarity,
@@ -133,14 +134,13 @@ class TestHac:
         with pytest.raises(ValueError):
             hac(np.zeros((3, 3)), 2, "average")
 
-    def test_single_linkage_equals_mst_cut(self):
+    def test_single_linkage_matches_naive_loop_on_distinct_values(self):
         rng = np.random.default_rng(13)
         for _ in range(15):
             n = int(rng.integers(2, 30))
             d = random_dissimilarity(rng, n)
-            vat = vat_reorder(d)
             for k in range(1, n + 1):
-                assert partitions_equal(hac(d, k, "single").labels, cut_mst(vat, k).labels)
+                assert partitions_equal(hac(d, k, "single").labels, naive_hac(d, k, "single"))
 
     def test_complete_linkage_collinear_pairs(self):
         p = hac(line_dissimilarity([0.0, 1.0, 5.0, 6.0]), 2, "complete")
@@ -155,7 +155,9 @@ class TestHac:
 
     def test_matches_naive_loop_on_tied_grids(self):
         # the skewed copy is asymmetric within the 1e-12 that validation
-        # accepts, so a merged column can undercut a row's cached minimum
+        # accepts, so a merged column can undercut a row's cached minimum.
+        # Single linkage breaks ties its own way, so the oracle checks it,
+        # against the exact grid: the skew only breaks the grid's ties.
         rng = np.random.default_rng(37)
         for _ in range(40):
             n = int(rng.integers(2, 25))
@@ -163,9 +165,9 @@ class TestHac:
             skewed = d + 5e-13 * rng.integers(0, 2, (n, n))
             np.fill_diagonal(skewed, 0.0)
             for m in (d, skewed):
-                for linkage in ("single", "complete"):
-                    for k in range(1, n + 1):
-                        assert np.array_equal(hac(m, k, linkage).labels, naive_hac(m, k, linkage))
+                for k in range(1, n + 1):
+                    assert np.array_equal(hac(m, k, "complete").labels, naive_hac(m, k, "complete"))
+                    assert is_single_linkage_partition(d, hac(m, k, "single").labels, k)
 
     def test_matches_naive_loop_on_edited_synth2(self):
         # every 6th synth2 point, edited as ssl (single) and ccl (complete) see it
@@ -177,7 +179,7 @@ class TestHac:
             edited, ceiling = _edit(d, cs)
             closed = _close_through_endpoints(edited.copy(), cs, ceiling)
             for k in range(1, data.n + 1):
-                assert np.array_equal(hac(edited, k, "single").labels, naive_hac(edited, k, "single"))
+                assert is_single_linkage_partition(edited, hac(edited, k, "single").labels, k)
                 assert np.array_equal(hac(closed, k, "complete").labels, naive_hac(closed, k, "complete"))
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -190,7 +192,41 @@ class TestHac:
         d += d.T
         k = data.draw(st.integers(1, n), label="k")
         linkage = data.draw(st.sampled_from(("single", "complete")), label="linkage")
-        assert np.array_equal(hac(d, k, linkage).labels, naive_hac(d, k, linkage))
+        if linkage == "single":
+            assert is_single_linkage_partition(d, hac(d, k, linkage).labels, k)
+        else:
+            assert np.array_equal(hac(d, k, linkage).labels, naive_hac(d, k, linkage))
+
+
+class TestSingleLinkageOracle:
+    def test_agrees_with_naive_loop_on_distinct_values(self):
+        # distinct values leave one single-linkage partition per k, so the
+        # oracle accepts the naive loop's and rejects any other
+        rng = np.random.default_rng(53)
+        for _ in range(15):
+            n = int(rng.integers(3, 20))
+            d = random_dissimilarity(rng, n)
+            for k in range(1, n + 1):
+                labels = naive_hac(d, k, "single")
+                assert is_single_linkage_partition(d, labels, k)
+                moved = labels.copy()
+                moved[0] = (labels[0] + 1) % k
+                if k > 1 and np.unique(moved).size == k:
+                    assert not is_single_linkage_partition(d, moved, k)
+
+    def test_accepts_either_side_of_a_tied_cut(self):
+        d = line_dissimilarity([0.0, 1.0, 2.0])
+        assert is_single_linkage_partition(d, [0, 0, 1], 2)
+        assert is_single_linkage_partition(d, [0, 1, 1], 2)
+        assert not is_single_linkage_partition(d, [0, 1, 0], 2)  # {0, 2} joined only by 2 > t
+
+    def test_rejects_split_across_a_cut_edge(self):
+        # MST edges 1, 2, 1: t = 2 for k = 2, and the edge (0, 1) below it
+        # may not separate two clusters
+        d = line_dissimilarity([0.0, 1.0, 3.0, 4.0])
+        assert is_single_linkage_partition(d, [0, 0, 1, 1], 2)
+        assert not is_single_linkage_partition(d, [0, 1, 1, 1], 2)
+        assert not is_single_linkage_partition(d, [0, 0, 1, 1], 3)
 
 
 class TestCcl:
@@ -275,8 +311,9 @@ class TestSsl:
         assert rep.row("iris", "ssl").mean_pa == pytest.approx(67.8, abs=10.0)
 
     def test_matches_single_linkage_on_full_closure(self):
-        # distinct-valued input; with tied heights at the cut the unclosed
-        # and closed matrices may break the tie differently
+        # must-links put zero-weight ties at the cut, which the unclosed and
+        # closed matrices may break differently, so the oracle accepts any
+        # single-linkage partition of the closed matrix
         rng = np.random.default_rng(43)
         for _ in range(40):
             n = int(rng.integers(3, 25))
@@ -284,7 +321,7 @@ class TestSsl:
             cs = random_constraints(rng, n)
             closed = full_closure_edit(d, cs.similar, cs.dissimilar)
             for k in range(1, n + 1):
-                assert partitions_equal(ssl(d, cs, k).labels, naive_hac(closed, k, "single"))
+                assert is_single_linkage_partition(closed, ssl(d, cs, k).labels, k)
 
 
 class TestSuggestK:

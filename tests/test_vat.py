@@ -21,7 +21,7 @@ from conivat import (
     validate_dissimilarity,
     vat_reorder,
 )
-from conivat.vat import _TILE, VARIANTS, _ivat, _vat_traversal
+from conivat.vat import _TILE, VARIANTS, VatResult, _minimax_reordered, _vat_traversal
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
@@ -30,16 +30,8 @@ from oracles import (
     running_max_image,
 )
 
-VAT_FIELDS = ("order", "reordered", "mst_parent", "cut_magnitudes")
-
-
-def assert_same_vat(got, want):
-    for field in VAT_FIELDS:
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-
-
-def composed_route(data, cs, variant):
-    """vat_reorder(minimax_transform(d)) on the matrix the pipeline builds for ``variant``."""
+def variant_matrix(data, cs, variant):
+    """The distance matrix the pipeline builds for ``variant``."""
     cs = sanitize(cs)
     if variant in ("metric_ivat", "conivat"):
         d = dissimilarity_under_metric(data, learn_metric(data, cs)[0])
@@ -47,7 +39,15 @@ def composed_route(data, cs, variant):
         d = euclidean_dissimilarity(data)
     if variant in ("mtd_vat", "conivat"):
         d = impose_similar(d, cs)
-    return vat_reorder(minimax_transform(d))
+    return d
+
+
+def assert_pipeline_contract(vat, d):
+    """``vat`` is the VAT traversal of ``d`` showing d's minimax matrix in its order."""
+    want = vat_reorder(d)
+    for field in ("order", "mst_parent", "cut_magnitudes"):
+        assert np.array_equal(getattr(vat, field), getattr(want, field)), field
+    assert np.array_equal(vat.reordered, floyd_warshall_minimax(d)[np.ix_(want.order, want.order)])
 
 
 @pytest.fixture()
@@ -246,12 +246,9 @@ class TestImposeSimilar:
 
 class TestPipeline:
     def test_ivat_equals_manual_route(self, two_blobs):
-        d = euclidean_dissimilarity(two_blobs)
         vat, report = conivat_pipeline(two_blobs, variant="ivat")
-        manual = vat_reorder(minimax_transform(d))
         assert report is None
-        assert np.array_equal(vat.order, manual.order)
-        assert np.array_equal(vat.reordered, manual.reordered)
+        assert_pipeline_contract(vat, euclidean_dissimilarity(two_blobs))
 
     def test_conivat_separates_bridged_blobs(self, bridged_pair):
         data = bridged_pair
@@ -271,14 +268,11 @@ class TestPipeline:
         assert np.all(block == 0.0)
 
     def test_metric_ivat_learns_and_matches_manual(self, iris_norm):
-        from conivat import dissimilarity_under_metric, generate_from_labels, learn_metric
-
         cs = sanitize(generate_from_labels(iris_norm, 30, seed=0))
         vat, report = conivat_pipeline(iris_norm, cs, variant="metric_ivat")
         assert report is not None and report.learned
         a, _ = learn_metric(iris_norm, cs)
-        manual = vat_reorder(minimax_transform(dissimilarity_under_metric(iris_norm, a)))
-        assert np.array_equal(vat.reordered, manual.reordered)
+        assert_pipeline_contract(vat, dissimilarity_under_metric(iris_norm, a))
 
     def test_raw_constraints_sanitized_internally(self, bridged_pair):
         data = bridged_pair
@@ -299,13 +293,14 @@ class TestPipeline:
 
 
 class TestPipelineEqualsComposition:
-    """The pipeline's one-matrix route against vat_reorder(minimax_transform(d))."""
+    """The pipeline against vat_reorder(d) composed with the Floyd-Warshall
+    minimax matrix of d taken in that order."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_fields_on_two_blobs(self, two_blobs, variant):
         cs = generate_from_labels(two_blobs, 12, seed=1)
         vat, _ = conivat_pipeline(two_blobs, cs, variant=variant)
-        assert_same_vat(vat, composed_route(two_blobs, cs, variant))
+        assert_pipeline_contract(vat, variant_matrix(two_blobs, cs, variant))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_fields_on_tie_dense_integer_grids(self, variant):
@@ -316,15 +311,17 @@ class TestPipelineEqualsComposition:
             data = FeatureMatrix(rng.integers(0, 3, (n, 2)).astype(float), rng.integers(0, 3, n))
             cs = generate_from_labels(data, 10, seed=int(rng.integers(1000)))
             vat, _ = conivat_pipeline(data, cs, variant=variant)
-            assert_same_vat(vat, composed_route(data, cs, variant))
+            assert_pipeline_contract(vat, variant_matrix(data, cs, variant))
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_matches_composition_on_drawn_integer_matrices(self, data):
+        # the pipeline's last step, VatResult from one traversal, on tie-dense input
         n = data.draw(st.integers(1, 12), label="n")
         upper = data.draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
-        order, _, cuts = _vat_traversal(d)
-        assert_same_vat(_ivat(order, cuts), vat_reorder(minimax_transform(d)))
+        order, parent, cuts = _vat_traversal(d)
+        vat = VatResult(order=order, reordered=_minimax_reordered(cuts), mst_parent=parent, cut_magnitudes=cuts)
+        assert_pipeline_contract(vat, d)
