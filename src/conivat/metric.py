@@ -34,6 +34,7 @@ from .constraints import ConstraintSet
 from .data import FeatureMatrix
 
 _TILE = 128  # side of the square tiles the distance matrix is finished in
+_MIN_DIST = 1e-12  # dissimilar pairs closer than this under A add no gradient
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,9 @@ class LearnConfig:
     epsilon: float = 0.001
     max_iters: int = 100
     max_projections: int = 10000
-    min_dist_guard: float = 1e-12
 
     def __post_init__(self):
-        for name in ("alpha", "epsilon", "max_iters", "max_projections", "min_dist_guard"):
+        for name in ("alpha", "epsilon", "max_iters", "max_projections"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -85,21 +85,28 @@ def _sq_dists(a: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.einsum("ki,ij,kj->k", diffs, a, diffs))
 
 
-def objective_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> float:
-    """Sum of metric distances (first power) over dissimilar pairs."""
-    return float(np.sum(np.sqrt(_sq_dists(a, _pair_diffs(data, cs.dissimilar)))))
+def _objective(a: np.ndarray, diffs: np.ndarray) -> float:
+    return float(np.sum(np.sqrt(_sq_dists(a, diffs))))
 
 
-def gradient_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet, min_dist_guard: float = 1e-12) -> np.ndarray:
-    """Ascent direction sum_dissimilar v v^T / (2 d_A); near-zero pairs skipped."""
-    diffs = _pair_diffs(data, cs.dissimilar)
+def _gradient(a: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     d = np.sqrt(_sq_dists(a, diffs))
-    keep = d >= min_dist_guard
+    keep = d >= _MIN_DIST
     if not np.any(keep):
         return np.zeros_like(a)
     w = 0.5 / d[keep]
     grad = (diffs[keep] * w[:, None]).T @ diffs[keep]
     return (grad + grad.T) / 2.0
+
+
+def objective_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> float:
+    """Sum of metric distances (first power) over dissimilar pairs."""
+    return _objective(a, _pair_diffs(data, cs.dissimilar))
+
+
+def gradient_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
+    """Ascent direction sum_dissimilar v v^T / (2 d_A); near-zero pairs skipped."""
+    return _gradient(a, _pair_diffs(data, cs.dissimilar))
 
 
 def _similar_outer(data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
@@ -199,24 +206,12 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
     m_s = _similar_outer(data, cs)
     m_s_sq = float(np.sum(m_s * m_s))
 
-    def objective(a):
-        return float(np.sum(np.sqrt(_sq_dists(a, diffs_d))))
-
-    def gradient(a):
-        d = np.sqrt(_sq_dists(a, diffs_d))
-        keep = d >= cfg.min_dist_guard
-        if not np.any(keep):
-            return np.zeros_like(a)
-        w = 0.5 / d[keep]
-        g = (diffs_d[keep] * w[:, None]).T @ diffs_d[keep]
-        return (g + g.T) / 2.0
-
     a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0, cfg.max_projections)
-    g_prev = objective(a)
+    g_prev = _objective(a, diffs_d)
     trace = [g_prev]
     for _ in range(cfg.max_iters):
-        a, lam = _project_feasible(a + cfg.alpha * gradient(a), m_s, m_s_sq, lam, cfg.max_projections)
-        g_now = objective(a)
+        a, lam = _project_feasible(a + cfg.alpha * _gradient(a, diffs_d), m_s, m_s_sq, lam, cfg.max_projections)
+        g_now = _objective(a, diffs_d)
         if not np.isfinite(g_now):
             raise FloatingPointError("objective became non-finite; check input data")
         trace.append(g_now)

@@ -7,13 +7,15 @@ worst edge over all connecting paths, which sharpens those blocks (iVAT).
 ConiVAT runs the same machinery on a matrix that has been reshaped by
 constraint-learned Mahalanobis distances and zeroed similar pairs.
 
-One Prim traversal of the distance matrix serves an assessment. The minimax
-distance between the objects a VAT traversal admits at positions s < t is
-the largest cut magnitude between them, max(cuts[s:t]) (the running-max
-lemma, see ``minimax_transform``). So, as in Havens & Bezdek's efficient
-iVAT, the pipeline shows the minimax matrix in the VAT order of the
-distance matrix: its image is the running-max matrix of that traversal's
-cuts, and the minimax matrix is never stored in the original order.
+One Prim traversal of the distance matrix serves an assessment, and its
+result is the traversal alone: order, parents and cut magnitudes. The
+minimax distance between the objects a VAT traversal admits at positions
+s < t is the largest cut magnitude between them, max(cuts[s:t]) (the
+running-max lemma, see ``minimax_transform``). So, as in Havens & Bezdek's
+efficient iVAT, the minimax matrix in the VAT order of the distance matrix
+is the running-max matrix of the cuts, and ``rdi.render`` draws it from
+them; no n x n matrix outlives the traversal. The plain VAT image of ``d``
+is ``d[np.ix_(order, order)]``.
 """
 
 from __future__ import annotations
@@ -60,17 +62,18 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VatResult:
-    """Reordering of a dissimilarity matrix along the VAT MST traversal.
+    """The VAT minimum spanning tree traversal of a dissimilarity matrix.
 
     ``order[t]`` is the original index of the object in ordered position t.
     ``mst_parent[t]`` (t >= 1) is the ordered position the t-th object
     attached to; entry 0 is -1 for the seed. ``cut_magnitudes[t-1]`` is the
     weight of the MST edge that admitted the t-th object, so cutting the
-    k-1 largest splits the tree into k single-linkage clusters.
+    k-1 largest splits the tree into k single-linkage clusters. For s < t,
+    entry (s, t) of the minimax matrix in this order is
+    max(cut_magnitudes[s:t]).
     """
 
     order: np.ndarray
-    reordered: np.ndarray
     mst_parent: np.ndarray
     cut_magnitudes: np.ndarray
 
@@ -118,33 +121,22 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, parent, cuts
 
 
-def _minimax_row(cuts: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
-    """Row t of the minimax matrix in the VAT order that produced ``cuts``.
+def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
+    """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    Entry s is max(cuts[min(s, t):max(s, t)]): two running maxima that
-    start next to the diagonal and run outward.
-    """
-    out[t] = 0.0
-    np.maximum.accumulate(cuts[:t][::-1], out=out[:t][::-1])
-    np.maximum.accumulate(cuts[t:], out=out[t + 1:])
-    return out
-
-
-def _minimax_reordered(cuts: np.ndarray) -> np.ndarray:
-    """The whole minimax matrix in the VAT order that produced ``cuts``.
-
-    Row t below the diagonal is row t-1 raised to cuts[t-1], and above it
-    row t+1 raised to cuts[t], so each row is one vector maximum.
+    It has the dtype of ``cuts``. Row t below the diagonal is row t-1 raised
+    to cuts[t-1], and above it row t+1 raised to cuts[t], so each row is one
+    vector maximum.
     """
     n = cuts.size + 1
-    out = np.empty((n, n))
+    out = np.empty((n, n), dtype=cuts.dtype)
     for t in range(1, n):
         np.maximum(out[t - 1, :t - 1], cuts[t - 1], out=out[t, :t - 1])
         out[t, t - 1] = cuts[t - 1]
     for t in range(n - 2, -1, -1):
         np.maximum(out[t + 1, t + 2:], cuts[t], out=out[t, t + 2:])
         out[t, t + 1] = cuts[t]
-    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, 0)
     return out
 
 
@@ -154,16 +146,14 @@ def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def vat_reorder(d: np.ndarray) -> VatResult:
-    """Reorder ``d`` by the modified-Prim VAT traversal.
+    """The modified-Prim VAT traversal of ``d``.
 
     The seed is the row holding the global maximum entry (row-major first on
     ties). Each step admits the unvisited object closest to the visited set;
     ties go to the lowest candidate index, then the lowest anchor index.
     """
-    d = validate_dissimilarity(d)
-    order, parent, cuts = _vat_traversal(d)
-    reordered = d[np.ix_(order, order)]
-    return VatResult(order=order, reordered=reordered, mst_parent=parent, cut_magnitudes=cuts)
+    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
+    return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts)
 
 
 def minimax_transform(d: np.ndarray) -> np.ndarray:
@@ -176,18 +166,12 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     starts exactly at a cut > M, so positions s..t share a component when
     no cut in between exceeds M. Conversely the prefix before the largest
     cut can only be left through an edge at least that large. So one
-    traversal gives every row in O(N), with no per-pair path search. Output
+    traversal gives the whole matrix, with no per-pair path search. Output
     is ultrametric and entrywise dominated by the input.
     """
-    d = validate_dissimilarity(d)
-    order, _, cuts = _vat_traversal(d)
-    n = order.size
+    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
     pos = np.argsort(order)
-    out = np.empty((n, n))
-    buf = np.empty(n)
-    for t in range(n):
-        np.take(_minimax_row(cuts, t, buf), pos, out=out[order[t]])
-    return out
+    return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
 
 def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
@@ -218,14 +202,14 @@ def conivat_pipeline(
     ``conivat`` (both). Raw constraints are sanitized here so the learner
     and the imposition step see the same closed, conflict-free sets.
 
-    For the variant's distance matrix ``d``, ``order``, ``mst_parent`` and
-    ``cut_magnitudes`` are those of ``vat_reorder(d)``, and ``reordered`` is
-    ``minimax_transform(d)`` taken in that order. That order is a valid Prim
-    order of the minimax matrix too: no minimax distance across a cut
-    (visited, rest) is below the lightest edge of ``d`` crossing it, which
-    Prim admits next. The distance matrix is edited in place and dropped
-    after its one traversal, so at most one n x n float matrix is alive at a
-    time.
+    For the variant's distance matrix ``d`` the result equals
+    ``vat_reorder(d)``, and the running maxima of its cuts are
+    ``minimax_transform(d)`` taken in its order, which ``rdi.render`` draws.
+    That order is a valid Prim order of the minimax matrix too: no minimax
+    distance across a cut (visited, rest) is below the lightest edge of
+    ``d`` crossing it, which Prim admits next. The distance matrix is edited
+    in place and dropped after its one traversal, so it is the only n x n
+    float matrix an assessment builds.
     """
     variant = variant.lower()
     if variant not in VARIANTS:
@@ -240,6 +224,4 @@ def conivat_pipeline(
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
     order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
-    del d
-    vat = VatResult(order=order, reordered=_minimax_reordered(cuts), mst_parent=parent, cut_magnitudes=cuts)
-    return vat, report
+    return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), report

@@ -362,6 +362,13 @@ def rank_render(d: np.ndarray) -> np.ndarray:
     return np.rint(255.0 * ranks / (distinct.size - 1)).astype(np.uint8)
 
 
+def linear_render(d: np.ndarray) -> np.ndarray:
+    """Linear-scale pixels: round(255 d / max(d)); an all-zero matrix is black."""
+    d = np.asarray(d, dtype=float)
+    mx = d.max()
+    return (np.rint(255.0 * d / mx) if mx > 0 else np.zeros_like(d)).astype(np.uint8)
+
+
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Minimal binary-P5 reader; returns ``(pixels, maxval)``."""
     data = Path(path).read_bytes()

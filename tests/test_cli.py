@@ -7,6 +7,7 @@ import pytest
 
 from conivat import LearnConfig, conivat_pipeline, generate_from_labels, load_csv, load_iris, normalize_minmax
 from conivat.cli import main
+from oracles import linear_render, rank_render, read_pgm, running_max_image
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,16 @@ class TestAssess:
         assert run_cli("assess", "--gen", "synth1", "--variant", "ivat", "--out", str(tmp_path)) == 0
         header = (tmp_path / "rdi.pgm").read_bytes()[:11]
         assert header == b"P5\n400 400\n"
+
+    @pytest.mark.parametrize("scale", ["linear", "rank"])
+    def test_image_is_the_minimax_render_of_its_cuts(self, scale, tmp_path):
+        assert run_cli("assess", "--gen", "synth1", "--scale", scale, "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "cuts.csv").read_text(encoding="utf-8").splitlines()[1:]
+        image = running_max_image([float(r.split(",")[1]) for r in rows])
+        pixels, maxval = read_pgm(tmp_path / "rdi.pgm")
+        oracle = rank_render if scale == "rank" else linear_render
+        assert maxval == 255
+        assert np.array_equal(pixels, oracle(image))
 
     def test_repeat_invocation_byte_identical(self, iris_csv, tmp_path):
         outs = []

@@ -256,7 +256,7 @@ class TestLearnMetric:
                 assert np.linalg.norm(step - w) <= np.linalg.norm(a - w) + 1e-10
 
     def test_config_validation(self):
-        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}, {"max_projections": 0}, {"min_dist_guard": 0.0}):
+        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}, {"max_projections": 0}):
             with pytest.raises(ValueError):
                 LearnConfig(**kw)
 

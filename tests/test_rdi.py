@@ -1,4 +1,4 @@
-"""Reordered-dissimilarity image rendering and the binary PGM writer."""
+"""Minimax image rendering from VAT cut magnitudes and the binary PGM writer."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,31 @@ from conivat import (
     vat_reorder,
     write_pgm,
 )
-from conivat.rdi import _BLOCK_ROWS
-from oracles import integer_dissimilarity, random_dissimilarity, rank_render, read_pgm
+from conivat.rdi import SCALES
+from oracles import (
+    integer_dissimilarity,
+    linear_render,
+    random_dissimilarity,
+    rank_render,
+    read_pgm,
+    running_max_image,
+)
 
 
 def as_vat(d):
     return vat_reorder(np.asarray(d, dtype=float))
+
+
+def from_cuts(cuts):
+    """A chain traversal of len(cuts) + 1 objects admitted in index order."""
+    n = len(cuts) + 1
+    return VatResult(order=np.arange(n), mst_parent=np.arange(n) - 1, cut_magnitudes=np.asarray(cuts, dtype=float))
+
+
+def assert_matches_oracles(vat):
+    image = running_max_image(vat.cut_magnitudes)
+    assert np.array_equal(render(vat, scale="rank").pixels, rank_render(image))
+    assert np.array_equal(render(vat, scale="linear").pixels, linear_render(image))
 
 
 class TestRender:
@@ -34,22 +53,15 @@ class TestRender:
         assert set(np.unique(img.pixels).tolist()) == {0, 255}
 
     def test_linear_three_value_example(self):
-        d = np.zeros((3, 3))
-        d[0, 1] = d[1, 0] = 1.0
-        d[1, 2] = d[2, 1] = 2.0
-        d[0, 2] = d[2, 0] = 4.0
-        img = render(as_vat(d), scale="linear")
+        img = render(from_cuts([1.0, 2.0, 4.0]), scale="linear")
         assert set(np.unique(img.pixels).tolist()) == {0, 64, 128, 255}
 
     def test_rank_scale_spreads_heavy_tail(self):
-        d = np.zeros((3, 3))
-        d[0, 1] = d[1, 0] = 1.0
-        d[1, 2] = d[2, 1] = 2.0
-        d[0, 2] = d[2, 0] = 1000.0
-        img = render(as_vat(d), scale="rank")
+        vat = from_cuts([1.0, 2.0, 1000.0])
+        img = render(vat, scale="rank")
         assert set(np.unique(img.pixels).tolist()) == {0, 128, 255}
         # linear scaling crushes the two small values into near-black instead
-        lin = render(as_vat(d), scale="linear")
+        lin = render(vat, scale="linear")
         assert np.max(lin.pixels[lin.pixels < 255]) <= 1
 
     def test_rank_single_distinct_value_saturates(self):
@@ -68,7 +80,7 @@ class TestRender:
         for scale in ("linear", "rank"):
             vat = as_vat(random_dissimilarity(rng, 12))
             img = render(vat, scale=scale)
-            order = np.argsort(vat.reordered, axis=None)
+            order = np.argsort(running_max_image(vat.cut_magnitudes), axis=None)
             px = img.pixels.ravel()[order]
             assert np.all(np.diff(px.astype(int)) >= 0)
 
@@ -93,7 +105,7 @@ class TestRender:
 
 
 class TestRankRenderMatchesOracle:
-    """Rank pixels through the level-step thresholds against ranking every entry."""
+    """Pixels from the cut levels against rendering the whole running-max image."""
 
     def test_random_tied_zero_and_single_valued(self):
         rng = np.random.default_rng(83)
@@ -102,41 +114,32 @@ class TestRankRenderMatchesOracle:
         mats += [integer_dissimilarity(rng, n, levels) for n in (5, 30) for levels in (2, 4, 300)]
         mats += [np.zeros((5, 5)), np.ones((6, 6)) - np.eye(6), 7.0 * (np.ones((3, 3)) - np.eye(3))]
         for d in mats:
-            vat = vat_reorder(d)
-            assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
+            assert_matches_oracles(vat_reorder(d))
 
-    def test_both_scales_across_row_blocks(self):
-        d = integer_dissimilarity(np.random.default_rng(97), _BLOCK_ROWS + 44, levels=1000)
-        vat = vat_reorder(d)
-        assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
-        want = np.rint(255.0 * vat.reordered / vat.reordered.max()).astype(np.uint8)
-        assert np.array_equal(render(vat, scale="linear").pixels, want)
+    def test_both_scales_on_a_large_tie_dense_matrix(self):
+        assert_matches_oracles(vat_reorder(integer_dissimilarity(np.random.default_rng(97), 300, levels=1000)))
+
+    def test_levels_collapse_past_255_distinct_cuts(self):
+        # 300 distinct cuts share the 256 pixel levels
+        vat = from_cuts(np.random.default_rng(101).permutation(300))
+        assert_matches_oracles(vat)
+        for scale in SCALES:
+            assert np.unique(render(vat, scale=scale).pixels).size == 256
 
     def test_pipeline_images(self, two_blobs):
         cs = generate_from_labels(two_blobs, 12, seed=2)
         for variant in ("ivat", "conivat"):
             vat, _ = conivat_pipeline(two_blobs, cs, variant=variant)
-            assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
-
-    def test_diagonal_within_tolerance_keeps_its_rank(self):
-        # a diagonal entry of 5e-13 ranks above the off-diagonal zeros
-        d = integer_dissimilarity(np.random.default_rng(89), 8)
-        np.fill_diagonal(d, 5e-13)
-        vat = vat_reorder(d)
-        px = render(vat, scale="rank").pixels
-        assert np.array_equal(px, rank_render(vat.reordered))
-        assert np.all(np.diag(px) == 128)
+            assert_matches_oracles(vat)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
-    def test_matches_oracle_on_drawn_integer_matrices(self, data):
-        # up to 435 pairs, so some draws hold more distinct values than pixel levels
+    def test_matches_oracle_on_drawn_cut_vectors(self, data):
+        # few levels give ties and zeros, 600 levels mostly distinct cuts
         n = data.draw(st.integers(1, 30), label="n")
-        upper = data.draw(st.lists(st.integers(0, 600), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-        d = np.zeros((n, n))
-        d[np.triu_indices(n, 1)] = upper
-        vat = VatResult(np.arange(n), d + d.T, np.arange(n) - 1, np.zeros(max(n - 1, 0)))
-        assert np.array_equal(render(vat, scale="rank").pixels, rank_render(vat.reordered))
+        top = data.draw(st.sampled_from([0, 1, 3, 600]), label="top")
+        cuts = data.draw(st.lists(st.integers(0, top), min_size=n - 1, max_size=n - 1), label="cuts")
+        assert_matches_oracles(from_cuts(cuts))
 
 
 class TestWritePgm:

@@ -17,16 +17,19 @@ from conivat import (
     learn_metric,
     minimax_transform,
     partition_accuracy,
+    render,
     sanitize,
     validate_dissimilarity,
     vat_reorder,
 )
-from conivat.vat import _TILE, VARIANTS, VatResult, _minimax_reordered, _vat_traversal
+from conivat.vat import _TILE, VARIANTS, VatResult, _vat_traversal
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
     kruskal_mst_weights,
+    linear_render,
     random_dissimilarity,
+    rank_render,
     running_max_image,
 )
 
@@ -42,12 +45,17 @@ def variant_matrix(data, cs, variant):
     return d
 
 
-def assert_pipeline_contract(vat, d):
-    """``vat`` is the VAT traversal of ``d`` showing d's minimax matrix in its order."""
-    want = vat_reorder(d)
+def assert_same_traversal(v1, v2):
     for field in ("order", "mst_parent", "cut_magnitudes"):
-        assert np.array_equal(getattr(vat, field), getattr(want, field)), field
-    assert np.array_equal(vat.reordered, floyd_warshall_minimax(d)[np.ix_(want.order, want.order)])
+        assert np.array_equal(getattr(v1, field), getattr(v2, field)), field
+
+
+def assert_pipeline_contract(vat, d):
+    """``vat`` is the VAT traversal of ``d`` and renders d's minimax matrix in its order."""
+    assert_same_traversal(vat, vat_reorder(d))
+    mm = floyd_warshall_minimax(d)[np.ix_(vat.order, vat.order)]
+    assert np.array_equal(render(vat, scale="rank").pixels, rank_render(mm))
+    assert np.array_equal(render(vat, scale="linear").pixels, linear_render(mm))
 
 
 @pytest.fixture()
@@ -116,7 +124,6 @@ class TestVatReorder:
         assert list(res.order) == [0, 1, 2]
         assert list(res.mst_parent) == [-1, 0, 1]
         assert sorted(res.cut_magnitudes, reverse=True) == [9.0, 1.0]
-        assert np.array_equal(res.reordered, d)
 
     def test_tie_breaks_lowest_candidate_then_anchor(self):
         # candidates 1 and 2 tie at distance 2 from the seed; 1 wins, and the
@@ -144,7 +151,6 @@ class TestVatReorder:
             d = random_dissimilarity(rng, int(rng.integers(2, 25)))
             res = vat_reorder(d)
             assert sorted(res.order) == list(range(d.shape[0]))
-            assert np.array_equal(res.reordered, d[np.ix_(res.order, res.order)])
 
     def test_cut_magnitudes_form_mst(self):
         rng = np.random.default_rng(9)
@@ -264,8 +270,7 @@ class TestPipeline:
         assert report is None
         idx = [int(np.flatnonzero(vat.order == i)[0]) for i in (0, 1, 2, 3)]
         assert max(idx) - min(idx) == 3  # welded items end up adjacent
-        block = vat.reordered[np.ix_(sorted(idx), sorted(idx))]
-        assert np.all(block == 0.0)
+        assert np.all(vat.cut_magnitudes[min(idx):max(idx)] == 0.0)
 
     def test_metric_ivat_learns_and_matches_manual(self, iris_norm):
         cs = sanitize(generate_from_labels(iris_norm, 30, seed=0))
@@ -279,7 +284,7 @@ class TestPipeline:
         raw = ConstraintSet(frozenset([(0, 5), (5, 0), (12, 17)]), frozenset(), data.n)
         v1, _ = conivat_pipeline(data, raw, variant="conivat")
         v2, _ = conivat_pipeline(data, sanitize(raw), variant="conivat")
-        assert np.array_equal(v1.reordered, v2.reordered)
+        assert_same_traversal(v1, v2)
 
     def test_unknown_variant(self, two_blobs):
         with pytest.raises(ValueError):
@@ -288,7 +293,7 @@ class TestPipeline:
     def test_no_constraints_conivat_reduces_to_ivat(self, two_blobs):
         v1, report = conivat_pipeline(two_blobs, ConstraintSet.empty(20), variant="conivat")
         v2, _ = conivat_pipeline(two_blobs, variant="ivat")
-        assert np.array_equal(v1.reordered, v2.reordered)
+        assert_same_traversal(v1, v2)
         assert report is not None and not report.learned
 
 
@@ -323,5 +328,4 @@ class TestPipelineEqualsComposition:
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
         order, parent, cuts = _vat_traversal(d)
-        vat = VatResult(order=order, reordered=_minimax_reordered(cuts), mst_parent=parent, cut_magnitudes=cuts)
-        assert_pipeline_contract(vat, d)
+        assert_pipeline_contract(VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), d)
