@@ -14,6 +14,7 @@ across platforms. Benchmark code derives per-trial seeds by spawning
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -148,7 +149,7 @@ def _to_float(s: str):
         v = float(s)
     except ValueError:
         return None
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def load_iris() -> FeatureMatrix:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .clustering import Partition, ccl, cut_mst, hac, ssl
 from .constraints import ConstraintSet, generate_from_labels, sanitize
@@ -43,8 +42,53 @@ def partition_accuracy(pred, truth) -> float:
     _, t = np.unique(t, return_inverse=True)
     cont = np.zeros((p.max() + 1, t.max() + 1), dtype=int)
     np.add.at(cont, (p, t), 1)
-    rows, cols = linear_sum_assignment(cont, maximize=True)
-    return 100.0 * float(cont[rows, cols].sum()) / t.shape[0]
+    return 100.0 * float(_max_assignment_total(cont)) / t.shape[0]
+
+
+def _max_assignment_total(weights: np.ndarray) -> int:
+    """Largest total of a one-to-one matching of rows to columns (min(r, c) pairs).
+
+    Hungarian method with potentials (Kuhn-Munkres, shortest augmenting
+    paths) on non-negative integer weights, so the arithmetic is exact and
+    the total does not depend on how ties are broken. Rows are added one at
+    a time after transposing to rows <= columns; index 0 of the column
+    arrays is a dummy column that holds the row being added.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    n, m = w.shape
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[1:, 1:] = -w
+    inf = np.iinfo(np.int64).max
+    u = np.zeros(n + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(m + 1, dtype=np.int64)  # column potentials
+    row_of = np.zeros(m + 1, dtype=np.intp)  # 1-based row matched to each column, 0 if free
+    way = np.zeros(m + 1, dtype=np.intp)  # previous column on the shortest path
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(m + 1, inf, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v
+            closer = ~used & (reduced < minv)
+            minv[closer] = reduced[closer]
+            way[closer] = j0
+            j1 = int(np.argmin(np.where(used, inf, minv)))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0 != 0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.flatnonzero(row_of[1:])
+    return int(w[row_of[1:][cols] - 1, cols].sum())
 
 
 @dataclass(frozen=True)

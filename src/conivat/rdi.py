@@ -75,6 +75,7 @@ def render(vat: VatResult, scale: str = "linear") -> RdiImage:
 def write_pgm(img: RdiImage, path) -> None:
     """Binary PGM (P5, maxval 255): header then row-major pixel bytes."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    payload = np.ascontiguousarray(img.pixels, dtype=np.uint8).tobytes()
+    pixels = np.ascontiguousarray(img.pixels, dtype=np.uint8)  # copies only a non-contiguous view
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(pixels)

@@ -166,14 +166,18 @@ def brute_force_pa(pred, truth) -> float:
     t = np.asarray(truth, dtype=int)
     _, p = np.unique(p, return_inverse=True)
     _, t = np.unique(t, return_inverse=True)
-    r, c = int(p.max()) + 1, int(t.max()) + 1
-    cont = np.zeros((r, c), dtype=int)
+    cont = np.zeros((int(p.max()) + 1, int(t.max()) + 1), dtype=int)
     np.add.at(cont, (p, t), 1)
-    if r <= c:
-        best = max(sum(cont[i, perm[i]] for i in range(r)) for perm in permutations(range(c), r))
-    else:
-        best = max(sum(cont[perm[j], j] for j in range(c)) for perm in permutations(range(r), c))
-    return 100.0 * best / t.shape[0]
+    return 100.0 * brute_force_assignment(cont) / t.shape[0]
+
+
+def brute_force_assignment(weights) -> int:
+    """Largest total of a one-to-one row-column matching, over every permutation."""
+    w = np.asarray(weights, dtype=int)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    r, c = w.shape
+    return int(max(sum(w[i, perm[i]] for i in range(r)) for perm in permutations(range(c), r)))
 
 
 def reachability_closure(similar, dissimilar, n):

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: files written, exit codes, determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +229,12 @@ class TestErrorPaths:
                        "--variant", "ivat", "--out", str(blocker / "sub"))
         assert code == 1
         assert "runtime error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # the command line starts without paying for scipy's import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, conivat, conivat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -61,6 +61,14 @@ class TestLoadCsv:
         assert data.n == 2 and dropped == 1
         assert np.array_equal(data.points, [[1.0, 2.0], [4.0, 5.0]])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cells_dropped_with_labels_aligned(self, tmp_path, cell):
+        text = f"a,b,cls\n1,2,3\n{cell},3,5\n4,{cell},5\n6,7,9\n"
+        data, dropped = load_csv(write(tmp_path, text), label_column="cls")
+        assert data.n == 2 and dropped == 2
+        assert np.array_equal(data.points, [[1.0, 2.0], [6.0, 7.0]])
+        assert np.array_equal(data.labels, [3, 9])
+
     def test_unparseable_and_empty_cells_dropped(self, tmp_path):
         data, dropped = load_csv(write(tmp_path, "1,2\n,3\nx,4\n5,6\n"))
         assert data.n == 2 and dropped == 2

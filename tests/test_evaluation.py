@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conivat import (
     Partition,
@@ -16,7 +18,21 @@ from conivat import (
 )
 from conivat.data import synth1
 from conivat.vat import VARIANTS
-from oracles import brute_force_pa
+from oracles import brute_force_assignment, brute_force_pa
+
+
+def labels_of(cont):
+    """Predicted and true ids of points laid out by a contingency matrix."""
+    rows, cols = np.indices(cont.shape)
+    return np.repeat(rows.ravel(), cont.ravel()), np.repeat(cols.ravel(), cont.ravel())
+
+
+@st.composite
+def contingencies(draw):
+    """Rectangular, tie-heavy contingency matrices small enough for brute force."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, 3), min_size=r * c, max_size=r * c).filter(any))
+    return np.array(cells).reshape(r, c)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +71,40 @@ class TestPartitionAccuracy:
             pred = rng.integers(0, 3, size=n)
             truth = rng.integers(0, int(rng.integers(2, 5)), size=n)
             assert partition_accuracy(pred, truth) == pytest.approx(brute_force_pa(pred, truth), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(contingencies())
+    @example(np.array([[2, 0, 1, 3]]))
+    @example(np.array([[2], [0], [1], [3]]))
+    @example(np.array([[3, 2], [2, 0]]))
+    def test_matches_brute_force_on_drawn_shapes(self, cont):
+        pred, truth = labels_of(cont)
+        assert partition_accuracy(pred, truth) == brute_force_pa(pred, truth)
+
+    def test_planted_optimum_of_a_fine_partition_against_three_classes(self):
+        rng = np.random.default_rng(5)
+        truth = np.repeat(np.arange(3), 250)
+        planted = rng.permutation(300)[:3]
+        pred = np.where(rng.random(750) < 0.3, planted[truth], rng.integers(0, 300, 750))
+        cont = np.zeros((300, 3), dtype=int)
+        np.add.at(cont, (pred, truth), 1)
+        # no matching beats the sum of the column maxima, and the planted
+        # clusters attain it because they hold the maxima in distinct rows
+        assert np.array_equal(cont.argmax(axis=0), planted)
+        assert partition_accuracy(pred, truth) == 100.0 * cont.max(axis=0).sum() / 750
+
+    def test_planted_optimum_of_shuffled_blocks_40_by_40(self):
+        # off-block weights are zero, so the optimum is the sum of the
+        # block optima, each small enough for brute force
+        rng = np.random.default_rng(8)
+        blocks = [rng.integers(0, 4, (5, 5)) for _ in range(8)]
+        cont = np.zeros((40, 40), dtype=int)
+        for b, block in enumerate(blocks):
+            cont[5 * b:5 * b + 5, 5 * b:5 * b + 5] = block
+        cont = cont[rng.permutation(40)][:, rng.permutation(40)]
+        pred, truth = labels_of(cont)
+        best = sum(brute_force_assignment(block) for block in blocks)
+        assert partition_accuracy(pred, truth) == 100.0 * best / truth.size
 
     def test_relabeling_invariance_both_sides(self):
         rng = np.random.default_rng(11)

@@ -153,6 +153,14 @@ class TestWritePgm:
         write_pgm(RdiImage(np.arange(9, dtype=np.uint8).reshape(3, 3)), path)
         assert path.stat().st_size == len(b"P5\n3 3\n255\n") + 9
 
+    def test_non_contiguous_view_writes_row_major_bytes(self, tmp_path):
+        px = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        img = RdiImage(px.T)
+        assert not img.pixels.flags.c_contiguous
+        path = tmp_path / "view.pgm"
+        write_pgm(img, path)
+        assert path.read_bytes() == b"P5\n4 4\n255\n" + px.T.tobytes()
+
     def test_round_trip_against_reader_oracle(self, tmp_path):
         rng = np.random.default_rng(9)
         for idx in range(5):
