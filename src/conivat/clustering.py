@@ -12,7 +12,9 @@ entries past the matrix maximum. ``ccl`` then propagates the edits by
 additive shortest paths, which for a metric input need only the constraint
 endpoints as intermediates, and clusters with complete linkage. ``ssl``
 clusters the edited matrix with single linkage directly, since the
-propagation cannot change single-linkage merge heights.
+propagation cannot change single-linkage merge heights. Both validate their
+input once, in the edit, and hand the edited copy straight to the
+traversal or the merge loop.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._matrix import copy_matrix
 from .constraints import ConstraintSet
-from .vat import VatResult, _vat_traversal, validate_dissimilarity
+from .vat import VatResult, _validate, _vat_traversal
+
+_STRIP = 16384  # entries per row strip of the closure's n x n minimum
 
 
 @dataclass(frozen=True)
@@ -87,20 +92,23 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
     smallest pair of cluster representatives, a cluster's representative
     being its lowest member index, and ids follow the representatives.
     """
-    d = validate_dissimilarity(d)
-    n = d.shape[0]
+    d, symmetric = _validate(d)
+    if linkage == "single":
+        return _cut_tree(*_vat_traversal(d, symmetric), k)
+    if linkage == "complete":
+        return _complete_linkage(copy_matrix(d), k)
+    raise ValueError(f"linkage must be 'single' or 'complete', got {linkage!r}")
+
+
+def _complete_linkage(m: np.ndarray, k: int) -> Partition:
+    """The complete-linkage merge loop of ``hac`` over a validated ``m``, which it overwrites."""
+    n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if linkage not in ("single", "complete"):
-        raise ValueError(f"linkage must be 'single' or 'complete', got {linkage!r}")
-    if linkage == "single":
-        return _cut_tree(*_vat_traversal(d), k)
-
     # Slot index == representative index; merging folds the larger slot
     # into the smaller so representatives stay minimal. Each row caches its
     # first minimum (nbr, low), so argmin(low) then nbr is the row-major
     # first minimum of the whole matrix: the lexicographic tie rule.
-    m = d.copy()
     np.fill_diagonal(m, np.inf)
     nbr = np.argmin(m, axis=1)
     low = m[np.arange(n), nbr]
@@ -127,28 +135,31 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
     return Partition(labels=labels, k=k)
 
 
-def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
+def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float, bool]:
     """Must-link -> 0, cannot-link -> a ceiling above every entry of ``d``.
 
-    Returns the edited copy and the ceiling. The ceiling is max + 1, or the
-    next float above the max once adding 1 no longer changes it.
+    Returns the edited copy, the ceiling, and whether the copy is exactly
+    symmetric (it is when ``d`` is: every edit writes both mirror entries).
+    The ceiling is max + 1, or the next float above the max once adding 1
+    no longer changes it. The copy is valid by construction, so callers
+    hand it to the traversal or merge loop without validating it again.
     """
-    d = validate_dissimilarity(d)
+    d, symmetric = _validate(d)
     n = d.shape[0]
     for i, j in cs.similar | cs.dissimilar:
         if i >= n or j >= n:
             raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
-    out = d.copy()
+    out = copy_matrix(d)
     top = float(d.max())
     ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
     for i, j in cs.similar:
         out[i, j] = out[j, i] = 0.0
     for i, j in cs.dissimilar:
         out[i, j] = out[j, i] = ceiling
-    return out, ceiling
+    return out, ceiling, symmetric
 
 
-def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -> np.ndarray:
+def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float, symmetric: bool) -> np.ndarray:
     """Additive shortest-path closure of an edited metric, in place.
 
     A shortest path needs an intermediate outside the constraint endpoints
@@ -156,11 +167,47 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
     such pair first takes its best two-hop detour; Floyd-Warshall over the
     endpoints alone then finishes the closure. The cannot-link barrier is
     restored afterwards, since shortest paths may tunnel around it.
+
+    Floyd-Warshall pass t over endpoint p_t sets e = min(e, C_t[u] + R_t[v])
+    with R_t = e[p_t] and C_t = e[:, p_t] as they stand before the pass, so
+    the closed matrix is min(e, min_t C_t[u] + R_t[v]) over the starting e:
+    ``min`` is exact and the sums are the same additions, so the result is
+    bit-identical to running the passes one after another. The pivots come
+    first, each from its endpoint's starting row and column and the earlier
+    pivots (O(m^2 n) for m endpoints), their sums going to one scratch
+    buffer that the strips reuse. Pass t leaves p_t's own row and
+    column unchanged, since e[p_t, p_t] >= 0 makes every candidate there at
+    least the entry it would replace, so a pivot is the same whether read
+    before its own pass or after it. The n x n minimum then runs in strips
+    of rows that fit in cache. When ``symmetric``
+    (``e`` equals its transpose bit for bit) every C_t is R_t, so only the
+    upper triangle is computed and then mirrored.
     """
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
-    for mid in sorted({v for pair in cs.similar | cs.dissimilar for v in pair}):
-        np.minimum(e, e[:, mid, None] + e[None, mid, :], out=e)
+    ends = sorted({v for pair in cs.similar | cs.dissimilar for v in pair})
+    n = e.shape[0]
+    height = max(1, _STRIP // n)
+    rows = np.empty((len(ends), n))
+    cols = rows if symmetric else np.empty((len(ends), n))
+    buf = np.empty((max(len(ends), height), n))
+    for t, p in enumerate(ends):
+        rows[t] = e[p]
+        sums = np.add(cols[:t, p, None], rows[:t], out=buf[:t])
+        np.minimum(rows[t], sums.min(axis=0, initial=np.inf), out=rows[t])
+        if not symmetric:
+            cols[t] = e[:, p]
+            sums = np.add(cols[:t], rows[:t, p, None], out=buf[:t])
+            np.minimum(cols[t], sums.min(axis=0, initial=np.inf), out=cols[t])
+    for a in range(0, n, height):
+        b = min(a + height, n)
+        lo = a if symmetric else 0
+        strip, cand = e[a:b, lo:], buf[:b - a, :n - lo]
+        for r, c in zip(rows, cols):
+            np.add(c[a:b, None], r[lo:], out=cand)
+            np.minimum(strip, cand, out=strip)
+        if symmetric:
+            e[b:, a:b] = e[a:b, b:].T
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e
@@ -176,8 +223,8 @@ def ccl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     constraint endpoints, which equals the full all-pairs closure for a
     metric input and may miss shorter paths otherwise.
     """
-    e, ceiling = _edit(d, cs)
-    return hac(_close_through_endpoints(e, cs, ceiling), k, "complete")
+    e, ceiling, symmetric = _edit(d, cs)
+    return _complete_linkage(_close_through_endpoints(e, cs, ceiling, symmetric), k)
 
 
 def ssl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
@@ -189,7 +236,8 @@ def ssl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     non-negative input, because a closed entry is a path length, at least
     that path's largest edge and at most the edited entry.
     """
-    return hac(_edit(d, cs)[0], k, "single")
+    e, _, symmetric = _edit(d, cs)
+    return _cut_tree(*_vat_traversal(e, symmetric), k)
 
 
 def suggest_k(vat: VatResult) -> list[tuple[int, float]]:

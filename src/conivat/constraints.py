@@ -160,7 +160,10 @@ def sanitize(cs: ConstraintSet) -> ConstraintSet:
 
 
 def read_constraints(path, n_items: int) -> ConstraintSet:
-    """Read the ``S i j`` / ``D i j`` line format (0-based indices)."""
+    """Read the ``S i j`` / ``D i j`` line format (0-based indices).
+
+    A bad line raises ``ValueError`` naming the file and the line number.
+    """
     sim, dis = set(), set()
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -169,8 +172,15 @@ def read_constraints(path, n_items: int) -> ConstraintSet:
                 continue
             if len(parts) != 3 or parts[0] not in ("S", "D"):
                 raise ValueError(f"{path}:{ln}: expected 'S i j' or 'D i j', got {line!r}")
-            pair = _norm_pair(int(parts[1]), int(parts[2]))
-            (sim if parts[0] == "S" else dis).add(pair)
+            try:
+                i, j = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: indices must be integers, got {line!r}") from None
+            if not (0 <= i < n_items and 0 <= j < n_items):
+                raise ValueError(f"{path}:{ln}: constraint ({i},{j}) out of range for n_items={n_items}")
+            if i == j:
+                raise ValueError(f"{path}:{ln}: self-pair ({i},{i}) is not a valid constraint")
+            (sim if parts[0] == "S" else dis).add(_norm_pair(i, j))
     return ConstraintSet(frozenset(sim), frozenset(dis), n_items)
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._matrix import empty_matrix
 from .constraints import ConstraintSet
 from .data import FeatureMatrix
 
@@ -239,9 +240,9 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
     written back over G, so the n x n Gram matrix is the only one built.
     """
     x = data.points
-    g = x @ a @ x.T
+    n = x.shape[0]
+    g = np.matmul(x @ a, x.T, out=empty_matrix(n))
     gd = np.diag(g).copy()
-    n = g.shape[0]
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, n, _TILE):

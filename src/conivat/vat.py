@@ -9,13 +9,17 @@ constraint-learned Mahalanobis distances and zeroed similar pairs.
 
 One Prim traversal of the distance matrix serves an assessment, and its
 result is the traversal alone: order, parents and cut magnitudes. The
-minimax distance between the objects a VAT traversal admits at positions
-s < t is the largest cut magnitude between them, max(cuts[s:t]) (the
-running-max lemma, see ``minimax_transform``). So, as in Havens & Bezdek's
-efficient iVAT, the minimax matrix in the VAT order of the distance matrix
-is the running-max matrix of the cuts, and ``rdi.render`` draws it from
-them; no n x n matrix outlives the traversal. The plain VAT image of ``d``
-is ``d[np.ix_(order, order)]``.
+traversal keeps one vector of distances to the admitted set and spends
+three vector calls per step; each object's parent, the lowest-index
+earlier-admitted object at exactly its cut, is found after the loop in one
+pass over the rows of the matrix (``_prim``). The minimax distance between
+the objects a VAT traversal admits at positions s < t is the largest cut
+magnitude between them, max(cuts[s:t]) (the running-max lemma, see
+``minimax_transform``). So, as in Havens & Bezdek's efficient iVAT, the
+minimax matrix in the VAT order of the distance matrix is the running-max
+matrix of the cuts, and ``rdi.render`` draws it from them; no n x n matrix
+outlives the traversal. The plain VAT image of ``d`` is
+``d[np.ix_(order, order)]``.
 """
 
 from __future__ import annotations
@@ -31,15 +35,14 @@ from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclid
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
-_TILE = 128  # side of the square tiles the symmetry check compares
+_TILE = 128  # side of the symmetry check's tiles; rows per block of the anchor search
 
 
-def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
-    """Check square/symmetric/zero-diagonal/non-negative/finite; return as float array.
+def _validate(d: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``validate_dissimilarity``, plus whether ``d`` is exactly symmetric.
 
-    Symmetry allows |d[i, j] - d[j, i]| <= 1e-12. It is checked tile by
-    tile, each tile on or above the diagonal against the transposed tile
-    below it, so no n x n temporary is built.
+    The flag comes from the same tile pass that checks the 1e-12 tolerance:
+    it holds when every tile equals its mirror bit for bit.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -53,11 +56,24 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("dissimilarity matrix diagonal must be zero")
     n = d.shape[0]
+    symmetric = True
     for a in range(0, n, _TILE):
         for b in range(a, n, _TILE):
-            if np.max(np.abs(d[a:a + _TILE, b:b + _TILE] - d[b:b + _TILE, a:a + _TILE].T)) > 1e-12:
+            gap = np.max(np.abs(d[a:a + _TILE, b:b + _TILE] - d[b:b + _TILE, a:a + _TILE].T))
+            if gap > 1e-12:
                 raise ValueError("dissimilarity matrix must be symmetric")
-    return d
+            symmetric = symmetric and gap == 0
+    return d, bool(symmetric)
+
+
+def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
+    """Check square/symmetric/zero-diagonal/non-negative/finite; return as float array.
+
+    Symmetry allows |d[i, j] - d[j, i]| <= 1e-12. It is checked tile by
+    tile, each tile on or above the diagonal against the transposed tile
+    below it, so no n x n temporary is built.
+    """
+    return _validate(d)[0]
 
 
 @dataclass(frozen=True)
@@ -82,42 +98,56 @@ class VatResult:
         return self.order.shape[0]
 
 
-def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prim(d: np.ndarray, seed: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Modified-Prim VAT traversal of a validated ``d`` from ``seed``.
 
     Each step admits the unvisited object closest to the visited set; ties
     go to the lowest candidate index, then the lowest anchor index. Returns
     (order, parent, cuts) as documented on ``VatResult``.
+
+    ``best[j]`` is the smallest d[i, j] over the admitted objects i. A step
+    is three vector calls: add a penalty that is +inf on admitted objects
+    and 0 elsewhere, take the argmin of the sum (its first minimum is the
+    lowest candidate), and fold the new object's row into ``best`` with no
+    mask. The cut is ``best[j]`` at admission. Parents are found after the
+    loop: the anchor of j is the lowest-index object i admitted before j
+    with d[i, j] equal to j's cut, which is the anchor a per-step update
+    that keeps the lowest index on ties would hold. When ``symmetric`` (``d``
+    equals its transpose bit for bit) those entries are read from row j of
+    ``d``, otherwise from row j of ``d.T``, ``_TILE`` objects at a time.
     """
     n = d.shape[0]
     order = np.empty(n, dtype=int)
-    parent = np.full(n, -1, dtype=int)
     cuts = np.empty(max(n - 1, 0), dtype=float)
-    pos = np.empty(n, dtype=int)
     order[0] = seed
-    pos[seed] = 0
-
-    # best_dist[j]: min distance from unvisited j to the visited set;
-    # best_anchor[j]: lowest-index visited object attaining it.
-    unvisited = np.ones(n, dtype=bool)
-    unvisited[seed] = False
-    best_dist = d[seed].copy()
-    best_anchor = np.full(n, seed, dtype=int)
-    best_dist[seed] = np.inf
+    best = d[seed].copy()
+    penalty = np.zeros(n)
+    penalty[seed] = np.inf
+    masked = np.empty(n)
     for t in range(1, n):
-        j = int(np.argmin(best_dist))
+        np.add(best, penalty, out=masked)
+        j = int(masked.argmin())
         order[t] = j
-        parent[t] = pos[best_anchor[j]]
-        cuts[t - 1] = best_dist[j]
-        pos[j] = t
-        unvisited[j] = False
-        r = d[j]
-        closer = unvisited & (r < best_dist)
-        best_dist[closer] = r[closer]
-        best_anchor[closer] = j
-        tied = unvisited & (r == best_dist) & (best_anchor > j)
-        best_anchor[tied] = j
-        best_dist[j] = np.inf
+        cuts[t - 1] = best[j]
+        penalty[j] = np.inf
+        # on equal values NumPy's minimum returns its second operand, so an
+        # entry keeps the value it had, down to the sign of a zero
+        np.minimum(d[j], best, out=best)
+
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    cut_of = np.append(-1.0, cuts)[pos]  # the seed's -1 matches no entry
+    anchor = np.zeros(n, dtype=int)
+    for a in range(0, n, _TILE):
+        entries = d[a:a + _TILE] if symmetric else d[:, a:a + _TILE].T
+        objs, cands = np.divmod(np.flatnonzero(entries == cut_of[a:a + _TILE, None]), n)
+        objs += a
+        earlier = pos[cands] < pos[objs]
+        # row-major order lists each object's candidates by increasing index
+        objs, first = np.unique(objs[earlier], return_index=True)
+        anchor[objs] = cands[earlier][first]
+    parent = pos[anchor[order]]
+    parent[0] = -1
     return order, parent, cuts
 
 
@@ -140,9 +170,9 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vat_traversal(d: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
-    return _prim(d, int(np.argmax(d)) // d.shape[0])
+    return _prim(d, int(np.argmax(d)) // d.shape[0], symmetric)
 
 
 def vat_reorder(d: np.ndarray) -> VatResult:
@@ -152,7 +182,7 @@ def vat_reorder(d: np.ndarray) -> VatResult:
     ties). Each step admits the unvisited object closest to the visited set;
     ties go to the lowest candidate index, then the lowest anchor index.
     """
-    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, parent, cuts = _vat_traversal(*_validate(d))
     return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts)
 
 
@@ -169,7 +199,7 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     traversal gives the whole matrix, with no per-pair path search. Output
     is ultrametric and entrywise dominated by the input.
     """
-    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, _, cuts = _vat_traversal(*_validate(d))
     pos = np.argsort(order)
     return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
@@ -223,5 +253,5 @@ def conivat_pipeline(
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
-    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, parent, cuts = _vat_traversal(*_validate(d))
     return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), report

@@ -82,6 +82,61 @@ def running_max_image(cuts) -> np.ndarray:
     return out
 
 
+def naive_vat_prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VAT Prim traversal with a masked update and an anchor per candidate.
+
+    Each step admits the unvisited object closest to the visited set, the
+    lowest index on ties; every unvisited object tracks its distance to the
+    visited set and the lowest-index visited object attaining it. Returns
+    (order, parent positions, cuts) like ``conivat.vat._prim``.
+    """
+    n = d.shape[0]
+    order = np.empty(n, dtype=int)
+    parent = np.full(n, -1, dtype=int)
+    cuts = np.empty(max(n - 1, 0), dtype=float)
+    pos = np.empty(n, dtype=int)
+    order[0] = seed
+    pos[seed] = 0
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[seed] = False
+    best_dist = d[seed].copy()
+    best_anchor = np.full(n, seed, dtype=int)
+    best_dist[seed] = np.inf
+    for t in range(1, n):
+        j = int(np.argmin(best_dist))
+        order[t] = j
+        parent[t] = pos[best_anchor[j]]
+        cuts[t - 1] = best_dist[j]
+        pos[j] = t
+        unvisited[j] = False
+        r = d[j]
+        closer = unvisited & (r < best_dist)
+        best_dist[closer] = r[closer]
+        best_anchor[closer] = j
+        tied = unvisited & (r == best_dist) & (best_anchor > j)
+        best_anchor[tied] = j
+        best_dist[j] = np.inf
+    return order, parent, cuts
+
+
+def endpoint_closure_fw(e: np.ndarray, similar, dissimilar, ceiling: float) -> np.ndarray:
+    """Endpoint shortest-path closure of an edited matrix, one full pass per endpoint.
+
+    Each cannot-link pair first takes its best two-hop detour; then one
+    Floyd-Warshall pass over the whole matrix per constraint endpoint, in
+    increasing index order, and the cannot-link entries go back to the
+    ceiling. Works on a copy.
+    """
+    e = np.array(e, dtype=float)
+    for i, j in dissimilar:
+        e[i, j] = e[j, i] = np.min(e[i] + e[j])
+    for mid in sorted({v for pair in set(similar) | set(dissimilar) for v in pair}):
+        np.minimum(e, e[:, mid, None] + e[None, mid, :], out=e)
+    for i, j in dissimilar:
+        e[i, j] = e[j, i] = ceiling
+    return e
+
+
 def naive_hac(d: np.ndarray, k: int, linkage: str) -> np.ndarray:
     """Agglomerative labels by a full-matrix argmin per merge, O(N^3).
 

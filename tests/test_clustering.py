@@ -21,11 +21,13 @@ from conivat import (
     synth2,
     vat_reorder,
 )
+from conivat import clustering
 from conivat.clustering import _close_through_endpoints, _edit
 from conivat.evaluation import _draw_constraints, _run_seeds
 from conivat.vat import conivat_pipeline
 from oracles import (
     canonical_labels,
+    endpoint_closure_fw,
     full_closure_edit,
     is_single_linkage_partition,
     naive_hac,
@@ -51,6 +53,12 @@ def random_constraints(rng: np.random.Generator, n: int) -> ConstraintSet:
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(count)}
     similar = {p for p in pairs if rng.random() < 0.5}
     return sanitize(ConstraintSet(frozenset(similar), frozenset(pairs - similar), n))
+
+
+def assert_closure_matches_per_endpoint_passes(d: np.ndarray, cs: ConstraintSet) -> None:
+    edited, ceiling, symmetric = _edit(d, cs)
+    want = endpoint_closure_fw(edited, cs.similar, cs.dissimilar, ceiling)
+    assert _close_through_endpoints(edited, cs, ceiling, symmetric).tobytes() == want.tobytes()
 
 
 def assert_refines(fine: Partition, coarse: Partition) -> None:
@@ -176,8 +184,8 @@ class TestHac:
         d = euclidean_dissimilarity(data)
         for rs in _run_seeds(0, 2):
             cs = _draw_constraints(data, 30, rs)
-            edited, ceiling = _edit(d, cs)
-            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
+            edited, ceiling, symmetric = _edit(d, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling, symmetric)
             for k in range(1, data.n + 1):
                 assert is_single_linkage_partition(edited, hac(edited, k, "single").labels, k)
                 assert np.array_equal(hac(closed, k, "complete").labels, naive_hac(closed, k, "complete"))
@@ -265,11 +273,42 @@ class TestCcl:
             x = rng.normal(size=(n, int(rng.integers(1, 5))))
             d = euclidean_dissimilarity(FeatureMatrix(x))
             cs = random_constraints(rng, n)
-            edited, ceiling = _edit(d, cs)
-            got = _close_through_endpoints(edited, cs, ceiling)
+            edited, ceiling, symmetric = _edit(d, cs)
+            got = _close_through_endpoints(edited, cs, ceiling, symmetric)
             want = full_closure_edit(d, cs.similar, cs.dissimilar)
             assert np.max(np.abs(got - want)) <= 1e-12 * ceiling
             assert all(got[i, j] == got[j, i] == ceiling for i, j in cs.dissimilar)
+
+    @pytest.mark.parametrize("strip", [clustering._STRIP, 40])
+    def test_endpoint_closure_matches_per_endpoint_passes_bit_for_bit(self, monkeypatch, strip):
+        # a 40-entry strip splits these small matrices into many row strips
+        monkeypatch.setattr(clustering, "_STRIP", strip)
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, int(rng.integers(1, 5))))))
+            cs = random_constraints(rng, n)
+            assert_closure_matches_per_endpoint_passes(d, cs)
+
+    def test_endpoint_closure_matches_per_endpoint_passes_on_edited_synth2(self):
+        # all of synth2 and every 6th point, as ssl and ccl see them
+        data = normalize_minmax(synth2(0))
+        for sub in (data, FeatureMatrix(data.points[::6], data.labels[::6])):
+            d = euclidean_dissimilarity(sub)
+            for rs in _run_seeds(0, 2):
+                assert_closure_matches_per_endpoint_passes(d, _draw_constraints(sub, 30, rs))
+
+    def test_endpoint_closure_matches_per_endpoint_passes_on_skewed_input(self):
+        # rows and columns differ within the 1e-12 that validation accepts
+        data = normalize_minmax(synth2(0))
+        d = euclidean_dissimilarity(data)
+        rng = np.random.default_rng(89)
+        skewed = d + 5e-13 * rng.integers(0, 2, d.shape)
+        np.fill_diagonal(skewed, 0.0)
+        for rs in _run_seeds(0, 2):
+            cs = _draw_constraints(data, 30, rs)
+            assert not _edit(skewed, cs)[2]
+            assert_closure_matches_per_endpoint_passes(skewed, cs)
 
     def test_cannot_link_barrier_survives_huge_magnitudes(self):
         # at 1e17 the spacing of floats exceeds 1, so max + 1 == max
@@ -281,8 +320,8 @@ class TestCcl:
             barrier = np.zeros(d.shape, dtype=bool)
             for i, j in cs.dissimilar:
                 barrier[i, j] = barrier[j, i] = True
-            edited, ceiling = _edit(big, cs)
-            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
+            edited, ceiling, symmetric = _edit(big, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling, symmetric)
             for m in (edited, closed):
                 assert m[barrier].min() > m[~barrier].max()
             assert np.array_equal(ccl(big, cs, 3).labels, ccl(d, cs, 3).labels)

@@ -160,8 +160,8 @@ class TestFileFormat:
         assert c.similar == frozenset({(0, 1)}) and c.dissimilar == frozenset({(1, 2)})
 
     def test_bad_lines_raise(self, tmp_path):
-        for text in ("X 0 1\n", "S 0\n", "S 0 0\n", "S 0 9\n"):
+        for text in ("X 0 1\n", "S 0\n", "S 0 0\n", "S 0 9\n", "S 0 x\n", "S 0 1.5\n"):
             path = tmp_path / "bad.txt"
             path.write_text(text, encoding="utf-8")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"bad\.txt:1:"):
                 read_constraints(path, 5)

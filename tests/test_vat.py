@@ -22,12 +22,14 @@ from conivat import (
     validate_dissimilarity,
     vat_reorder,
 )
-from conivat.vat import _TILE, VARIANTS, VatResult, _vat_traversal
+from conivat.clustering import _edit
+from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _validate, _vat_traversal
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
     kruskal_mst_weights,
     linear_render,
+    naive_vat_prim,
     random_dissimilarity,
     rank_render,
     running_max_image,
@@ -110,6 +112,21 @@ class TestValidateDissimilarity:
         assert validate_dissimilarity(ok) is ok
 
 
+    def test_exact_symmetry_reported_for_package_matrices_only(self, iris_norm):
+        cs = sanitize(generate_from_labels(iris_norm, 30, seed=0))
+        d = euclidean_dissimilarity(iris_norm)
+        learned = dissimilarity_under_metric(iris_norm, learn_metric(iris_norm, cs)[0])
+        edited, _, symmetric = _edit(d, cs)
+        assert symmetric
+        for m in (d, learned, edited):
+            assert _validate(m)[1]
+        for i, j in ((0, 1), (_TILE - 1, 3), (2, iris_norm.n - 1)):
+            skewed = d.copy()
+            skewed[i, j] += 5e-13
+            assert not _validate(skewed)[1]
+            assert not _edit(skewed, cs)[2]
+
+
 class TestVatReorder:
     def test_single_item(self):
         res = vat_reorder(np.zeros((1, 1)))
@@ -164,6 +181,52 @@ class TestVatReorder:
         for pos in range(1, 30):
             assert 0 <= res.mst_parent[pos] < pos
         assert res.mst_parent[0] == -1
+
+
+def assert_prim_matches_reference(d):
+    """``_prim`` from every seed gives the bytes of ``naive_vat_prim``."""
+    d, symmetric = _validate(d)
+    for seed in range(d.shape[0]):
+        got, want = _prim(d, seed, symmetric), naive_vat_prim(d, seed)
+        for name, a, b in zip(("order", "mst_parent", "cut_magnitudes"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, seed)
+
+
+class TestPrimKernel:
+    """The three-call Prim loop with anchors found after it, against the
+    per-step anchor loop it replaced."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_on_drawn_integer_matrices(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        upper = data.draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        assert_prim_matches_reference(d + d.T)
+
+    def test_matches_reference_on_skewed_integer_matrices(self):
+        # within the 1e-12 that validation accepts, d[i, j] != d[j, i], so
+        # the anchors must be read from the columns of d
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            skew = rng.integers(0, 2, (n, n))
+            skew[0, 1], skew[1, 0] = 1, 0
+            d = integer_dissimilarity(rng, n) + 5e-13 * skew
+            np.fill_diagonal(d, 0.0)
+            assert not _validate(d)[1]
+            assert_prim_matches_reference(d)
+
+    def test_matches_reference_on_euclidean_with_zeroed_pairs(self):
+        # zeroed similar pairs tie at the cut, and n > _TILE spans two blocks
+        rng = np.random.default_rng(79)
+        for n in (2, 9, 40, _TILE + 12):
+            d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, 3))))
+            for _ in range(n // 3):
+                i, j = rng.choice(n, 2, replace=False)
+                d[i, j] = d[j, i] = 0.0
+            assert_prim_matches_reference(d)
 
 
 class TestMinimaxTransform:
@@ -327,5 +390,5 @@ class TestPipelineEqualsComposition:
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
-        order, parent, cuts = _vat_traversal(d)
+        order, parent, cuts = _vat_traversal(*_validate(d))
         assert_pipeline_contract(VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), d)
