@@ -48,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser, *, variant: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=LearnConfig.alpha, help="metric-learning step size")
     p.add_argument("--epsilon", type=float, default=LearnConfig.epsilon, help="objective-change stop threshold")
     p.add_argument("--max-iters", type=int, default=LearnConfig.max_iters, help="gradient-ascent iteration cap")
-    p.add_argument("--max-projections", type=int, default=LearnConfig.max_projections, help="cap on root-find refinements per metric projection")
     if variant:
         p.add_argument("--variant", default="conivat", choices=VARIANTS, help="pipeline variant (default conivat)")
 
@@ -141,12 +140,7 @@ def _load_constraints(args, data: FeatureMatrix) -> ConstraintSet:
 
 def _learn_config(args) -> LearnConfig:
     try:
-        return LearnConfig(
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            max_projections=args.max_projections,
-        )
+        return LearnConfig(alpha=args.alpha, epsilon=args.epsilon, max_iters=args.max_iters)
     except ValueError as e:
         raise InputError(str(e)) from e
 

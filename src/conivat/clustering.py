@@ -25,7 +25,7 @@ import numpy as np
 
 from ._matrix import copy_matrix
 from .constraints import ConstraintSet
-from .vat import VatResult, _validate, _vat_traversal
+from .vat import VatResult, _vat_traversal, validate_dissimilarity
 
 _STRIP = 16384  # entries per row strip of the closure's n x n minimum
 
@@ -92,9 +92,9 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
     smallest pair of cluster representatives, a cluster's representative
     being its lowest member index, and ids follow the representatives.
     """
-    d, symmetric = _validate(d)
+    d = validate_dissimilarity(d)
     if linkage == "single":
-        return _cut_tree(*_vat_traversal(d, symmetric), k)
+        return _cut_tree(*_vat_traversal(d), k)
     if linkage == "complete":
         return _complete_linkage(copy_matrix(d), k)
     raise ValueError(f"linkage must be 'single' or 'complete', got {linkage!r}")
@@ -123,10 +123,10 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
         m[i, i] = np.inf
         labels[labels == j] = i
         low[j], nbr[j] = np.inf, -1  # retired rows never go stale again
-        # A row's cache survives unless its minimum sat in column i or j,
-        # or the new column i undercuts it (ties go to the lower column).
-        col = m[:, i]
-        stale = (nbr == i) | (nbr == j) | (col < low) | ((col == low) & (i < nbr))
+        # A row's cache survives unless its minimum sat in column i or j:
+        # m is symmetric, so the new m[r, i] is max(m[r, i], m[r, j]) >= low[r],
+        # equal only if the old m[r, i] was, after the first minimum nbr[r].
+        stale = (nbr == i) | (nbr == j)
         stale[i] = True
         rows = np.flatnonzero(stale)
         nbr[rows] = np.argmin(m[rows], axis=1)
@@ -135,16 +135,16 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
     return Partition(labels=labels, k=k)
 
 
-def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float, bool]:
+def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
     """Must-link -> 0, cannot-link -> a ceiling above every entry of ``d``.
 
-    Returns the edited copy, the ceiling, and whether the copy is exactly
-    symmetric (it is when ``d`` is: every edit writes both mirror entries).
-    The ceiling is max + 1, or the next float above the max once adding 1
-    no longer changes it. The copy is valid by construction, so callers
-    hand it to the traversal or merge loop without validating it again.
+    Returns the edited copy and the ceiling. The ceiling is max + 1, or the
+    next float above the max once adding 1 no longer changes it. Every edit
+    writes both mirror entries, so the copy is as exactly symmetric as the
+    validated ``d`` and valid by construction: callers hand it to the
+    traversal or merge loop without validating it again.
     """
-    d, symmetric = _validate(d)
+    d = validate_dissimilarity(d)
     n = d.shape[0]
     for i, j in cs.similar | cs.dissimilar:
         if i >= n or j >= n:
@@ -156,10 +156,10 @@ def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float, bool]:
         out[i, j] = out[j, i] = 0.0
     for i, j in cs.dissimilar:
         out[i, j] = out[j, i] = ceiling
-    return out, ceiling, symmetric
+    return out, ceiling
 
 
-def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float, symmetric: bool) -> np.ndarray:
+def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -> np.ndarray:
     """Additive shortest-path closure of an edited metric, in place.
 
     A shortest path needs an intermediate outside the constraint endpoints
@@ -178,10 +178,9 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float, s
     buffer that the strips reuse. Pass t leaves p_t's own row and
     column unchanged, since e[p_t, p_t] >= 0 makes every candidate there at
     least the entry it would replace, so a pivot is the same whether read
-    before its own pass or after it. The n x n minimum then runs in strips
-    of rows that fit in cache. When ``symmetric``
-    (``e`` equals its transpose bit for bit) every C_t is R_t, so only the
-    upper triangle is computed and then mirrored.
+    before its own pass or after it. ``e`` is exactly symmetric, so every
+    C_t is R_t, and the n x n minimum runs over the upper triangle in strips
+    of rows that fit in cache, each strip then mirrored.
     """
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
@@ -189,25 +188,18 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float, s
     n = e.shape[0]
     height = max(1, _STRIP // n)
     rows = np.empty((len(ends), n))
-    cols = rows if symmetric else np.empty((len(ends), n))
     buf = np.empty((max(len(ends), height), n))
     for t, p in enumerate(ends):
         rows[t] = e[p]
-        sums = np.add(cols[:t, p, None], rows[:t], out=buf[:t])
+        sums = np.add(rows[:t, p, None], rows[:t], out=buf[:t])
         np.minimum(rows[t], sums.min(axis=0, initial=np.inf), out=rows[t])
-        if not symmetric:
-            cols[t] = e[:, p]
-            sums = np.add(cols[:t], rows[:t, p, None], out=buf[:t])
-            np.minimum(cols[t], sums.min(axis=0, initial=np.inf), out=cols[t])
     for a in range(0, n, height):
         b = min(a + height, n)
-        lo = a if symmetric else 0
-        strip, cand = e[a:b, lo:], buf[:b - a, :n - lo]
-        for r, c in zip(rows, cols):
-            np.add(c[a:b, None], r[lo:], out=cand)
+        strip, cand = e[a:b, a:], buf[:b - a, :n - a]
+        for r in rows:
+            np.add(r[a:b, None], r[a:], out=cand)
             np.minimum(strip, cand, out=strip)
-        if symmetric:
-            e[b:, a:b] = e[a:b, b:].T
+        e[b:, a:b] = e[a:b, b:].T
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e
@@ -223,8 +215,8 @@ def ccl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     constraint endpoints, which equals the full all-pairs closure for a
     metric input and may miss shorter paths otherwise.
     """
-    e, ceiling, symmetric = _edit(d, cs)
-    return _complete_linkage(_close_through_endpoints(e, cs, ceiling, symmetric), k)
+    e, ceiling = _edit(d, cs)
+    return _complete_linkage(_close_through_endpoints(e, cs, ceiling), k)
 
 
 def ssl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
@@ -236,8 +228,8 @@ def ssl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     non-negative input, because a closed entry is a path length, at least
     that path's largest edge and at most the edited entry.
     """
-    e, _, symmetric = _edit(d, cs)
-    return _cut_tree(*_vat_traversal(e, symmetric), k)
+    e, _ = _edit(d, cs)
+    return _cut_tree(*_vat_traversal(e), k)
 
 
 def suggest_k(vat: VatResult) -> list[tuple[int, float]]:

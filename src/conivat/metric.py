@@ -16,7 +16,7 @@ moves to the nearest point of their intersection, which is
 P_PSD(A - lam M_S) at the smallest multiplier lam >= 0 that satisfies C1;
 P_PSD clamps negative eigenvalues to zero, and lam comes from a scalar
 root-find on ``np.linalg.eigh`` warm-started from the previous step's
-multiplier, refined by at most ``max_projections`` evaluations.
+multiplier, refined by at most ``_MAX_PROJECTIONS`` evaluations.
 ``project_c1`` and ``project_psd`` project onto each set alone.
 
 Ascent stops when the objective change drops below ``epsilon`` or after
@@ -36,6 +36,7 @@ from .data import FeatureMatrix
 
 _TILE = 128  # side of the square tiles the distance matrix is finished in
 _MIN_DIST = 1e-12  # dissimilar pairs closer than this under A add no gradient
+_MAX_PROJECTIONS = 10000  # cap on root-find refinements per projection
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,9 @@ class LearnConfig:
     alpha: float = 0.1
     epsilon: float = 0.001
     max_iters: int = 100
-    max_projections: int = 10000
 
     def __post_init__(self):
-        for name in ("alpha", "epsilon", "max_iters", "max_projections"):
+        for name in ("alpha", "epsilon", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -58,10 +58,14 @@ class LearnReport:
     """Diagnostics from one ``learn_metric`` call."""
 
     objective_trace: list[float] = field(default_factory=list)
-    iterations_used: int = 0
     c1_residual: float = 0.0
     min_eigenvalue: float = 0.0
     learned: bool = False
+
+    @property
+    def iterations_used(self) -> int:
+        """Objective evaluations made, the starting one included."""
+        return len(self.objective_trace)
 
 
 def mahalanobis_distance(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -142,7 +146,7 @@ def project_psd(a: np.ndarray) -> np.ndarray:
 _C1_GAP = 1e-9
 
 
-def _project_feasible(a, m_s, m_s_sq, lam_warm, max_evals):
+def _project_feasible(a, m_s, m_s_sq, lam_warm):
     """Frobenius-nearest point of {X PSD, <X, M_S> <= 1}; returns ``(X, lam)``.
 
     By the projection program's KKT conditions the answer is
@@ -152,8 +156,9 @@ def _project_feasible(a, m_s, m_s_sq, lam_warm, max_evals):
     and the root is at least f(0) / ||M_S||^2; bracketing doubles from there,
     or from ``lam_warm`` (the previous step's multiplier) when that is larger,
     and always ends because lam >= ||A||^2 / 4 is feasible. Illinois regula
-    falsi then refines for at most ``max_evals`` evaluations. The bracket's
-    feasible end is returned, so X always satisfies both constraints.
+    falsi then refines for at most ``_MAX_PROJECTIONS`` evaluations. The
+    bracket's feasible end is returned, so X always satisfies both
+    constraints.
     """
 
     def trial(lam):
@@ -171,7 +176,7 @@ def _project_feasible(a, m_s, m_s_sq, lam_warm, max_evals):
         x_hi, f_hi = trial(hi)
     # Illinois halves the stale end's weight, so the true gap is kept apart
     gap, side = f_hi, 0
-    for _ in range(max_evals):
+    for _ in range(_MAX_PROJECTIONS):
         # written so that a NaN ends the loop
         if not (gap < -_C1_GAP and hi - lo > 1e-12 * hi):
             break
@@ -207,11 +212,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
     m_s = _similar_outer(data, cs)
     m_s_sq = float(np.sum(m_s * m_s))
 
-    a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0, cfg.max_projections)
+    a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0)
     g_prev = _objective(a, diffs_d)
     trace = [g_prev]
     for _ in range(cfg.max_iters):
-        a, lam = _project_feasible(a + cfg.alpha * _gradient(a, diffs_d), m_s, m_s_sq, lam, cfg.max_projections)
+        a, lam = _project_feasible(a + cfg.alpha * _gradient(a, diffs_d), m_s, m_s_sq, lam)
         g_now = _objective(a, diffs_d)
         if not np.isfinite(g_now):
             raise FloatingPointError("objective became non-finite; check input data")
@@ -222,7 +227,6 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
 
     report = LearnReport(
         objective_trace=trace,
-        iterations_used=len(trace),
         c1_residual=max(0.0, float(np.tensordot(a, m_s)) - 1.0),
         min_eigenvalue=float(np.linalg.eigvalsh(a).min()),
         learned=True,

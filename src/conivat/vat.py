@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._matrix import copy_matrix
 from .constraints import ConstraintSet, sanitize
 from .data import FeatureMatrix
 from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclidean_dissimilarity, learn_metric
@@ -38,11 +39,18 @@ _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
 _TILE = 128  # side of the symmetry check's tiles; rows per block of the anchor search
 
 
-def _validate(d: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``validate_dissimilarity``, plus whether ``d`` is exactly symmetric.
+def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
+    """Check square/symmetric/zero-diagonal/non-negative/finite; return an exactly symmetric float array.
 
-    The flag comes from the same tile pass that checks the 1e-12 tolerance:
-    it holds when every tile equals its mirror bit for bit.
+    Symmetry allows |d[i, j] - d[j, i]| <= 1e-12. It is checked tile by
+    tile, each tile on or above the diagonal against the transposed tile
+    below it, so no n x n temporary is built. When every tile equals its
+    mirror, ``d`` itself is returned. Otherwise the result is a new matrix
+    whose lower triangle mirrors the upper triangle of ``d``: entries are
+    moved, not computed, so values and signs of zero are kept, and ``d`` is
+    never written. Every algorithm of the package reads its input through
+    this function, so its result on such a ``d`` is its result on that
+    mirror.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -63,17 +71,11 @@ def _validate(d: np.ndarray) -> tuple[np.ndarray, bool]:
             if gap > 1e-12:
                 raise ValueError("dissimilarity matrix must be symmetric")
             symmetric = symmetric and gap == 0
-    return d, bool(symmetric)
-
-
-def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
-    """Check square/symmetric/zero-diagonal/non-negative/finite; return as float array.
-
-    Symmetry allows |d[i, j] - d[j, i]| <= 1e-12. It is checked tile by
-    tile, each tile on or above the diagonal against the transposed tile
-    below it, so no n x n temporary is built.
-    """
-    return _validate(d)[0]
+    if symmetric:
+        return d
+    out = copy_matrix(d)
+    np.copyto(out, d.T, where=np.tri(n, k=-1, dtype=bool))
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class VatResult:
         return self.order.shape[0]
 
 
-def _prim(d: np.ndarray, seed: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Modified-Prim VAT traversal of a validated ``d`` from ``seed``.
 
     Each step admits the unvisited object closest to the visited set; ties
@@ -112,9 +114,9 @@ def _prim(d: np.ndarray, seed: int, symmetric: bool) -> tuple[np.ndarray, np.nda
     mask. The cut is ``best[j]`` at admission. Parents are found after the
     loop: the anchor of j is the lowest-index object i admitted before j
     with d[i, j] equal to j's cut, which is the anchor a per-step update
-    that keeps the lowest index on ties would hold. When ``symmetric`` (``d``
-    equals its transpose bit for bit) those entries are read from row j of
-    ``d``, otherwise from row j of ``d.T``, ``_TILE`` objects at a time.
+    that keeps the lowest index on ties would hold. ``d`` is exactly
+    symmetric, so those entries are read from row j of ``d``, ``_TILE``
+    objects at a time.
     """
     n = d.shape[0]
     order = np.empty(n, dtype=int)
@@ -139,8 +141,7 @@ def _prim(d: np.ndarray, seed: int, symmetric: bool) -> tuple[np.ndarray, np.nda
     cut_of = np.append(-1.0, cuts)[pos]  # the seed's -1 matches no entry
     anchor = np.zeros(n, dtype=int)
     for a in range(0, n, _TILE):
-        entries = d[a:a + _TILE] if symmetric else d[:, a:a + _TILE].T
-        objs, cands = np.divmod(np.flatnonzero(entries == cut_of[a:a + _TILE, None]), n)
+        objs, cands = np.divmod(np.flatnonzero(d[a:a + _TILE] == cut_of[a:a + _TILE, None]), n)
         objs += a
         earlier = pos[cands] < pos[objs]
         # row-major order lists each object's candidates by increasing index
@@ -170,9 +171,9 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vat_traversal(d: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
-    return _prim(d, int(np.argmax(d)) // d.shape[0], symmetric)
+    return _prim(d, int(np.argmax(d)) // d.shape[0])
 
 
 def vat_reorder(d: np.ndarray) -> VatResult:
@@ -182,7 +183,7 @@ def vat_reorder(d: np.ndarray) -> VatResult:
     ties). Each step admits the unvisited object closest to the visited set;
     ties go to the lowest candidate index, then the lowest anchor index.
     """
-    order, parent, cuts = _vat_traversal(*_validate(d))
+    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
     return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts)
 
 
@@ -199,7 +200,7 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     traversal gives the whole matrix, with no per-pair path search. Output
     is ultrametric and entrywise dominated by the input.
     """
-    order, _, cuts = _vat_traversal(*_validate(d))
+    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
     pos = np.argsort(order)
     return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
@@ -253,5 +254,5 @@ def conivat_pipeline(
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
-    order, parent, cuts = _vat_traversal(*_validate(d))
+    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
     return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), report

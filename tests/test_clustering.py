@@ -56,9 +56,9 @@ def random_constraints(rng: np.random.Generator, n: int) -> ConstraintSet:
 
 
 def assert_closure_matches_per_endpoint_passes(d: np.ndarray, cs: ConstraintSet) -> None:
-    edited, ceiling, symmetric = _edit(d, cs)
+    edited, ceiling = _edit(d, cs)
     want = endpoint_closure_fw(edited, cs.similar, cs.dissimilar, ceiling)
-    assert _close_through_endpoints(edited, cs, ceiling, symmetric).tobytes() == want.tobytes()
+    assert _close_through_endpoints(edited, cs, ceiling).tobytes() == want.tobytes()
 
 
 def assert_refines(fine: Partition, coarse: Partition) -> None:
@@ -163,18 +163,20 @@ class TestHac:
 
     def test_matches_naive_loop_on_tied_grids(self):
         # the skewed copy is asymmetric within the 1e-12 that validation
-        # accepts, so a merged column can undercut a row's cached minimum.
-        # Single linkage breaks ties its own way, so the oracle checks it,
-        # against the exact grid: the skew only breaks the grid's ties.
+        # accepts, which reads it as its upper triangle mirrored, so the
+        # complete-linkage loop is checked against the naive loop on that
+        # mirror. Single linkage breaks ties its own way, so the oracle
+        # checks it, against the exact grid: the skew only breaks its ties.
         rng = np.random.default_rng(37)
         for _ in range(40):
             n = int(rng.integers(2, 25))
             d = grid_dissimilarity(rng, n)
             skewed = d + 5e-13 * rng.integers(0, 2, (n, n))
             np.fill_diagonal(skewed, 0.0)
-            for m in (d, skewed):
+            mirror = np.triu(skewed) + np.triu(skewed, 1).T
+            for m, ref in ((d, d), (skewed, mirror)):
                 for k in range(1, n + 1):
-                    assert np.array_equal(hac(m, k, "complete").labels, naive_hac(m, k, "complete"))
+                    assert np.array_equal(hac(m, k, "complete").labels, naive_hac(ref, k, "complete"))
                     assert is_single_linkage_partition(d, hac(m, k, "single").labels, k)
 
     def test_matches_naive_loop_on_edited_synth2(self):
@@ -184,8 +186,8 @@ class TestHac:
         d = euclidean_dissimilarity(data)
         for rs in _run_seeds(0, 2):
             cs = _draw_constraints(data, 30, rs)
-            edited, ceiling, symmetric = _edit(d, cs)
-            closed = _close_through_endpoints(edited.copy(), cs, ceiling, symmetric)
+            edited, ceiling = _edit(d, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
             for k in range(1, data.n + 1):
                 assert is_single_linkage_partition(edited, hac(edited, k, "single").labels, k)
                 assert np.array_equal(hac(closed, k, "complete").labels, naive_hac(closed, k, "complete"))
@@ -273,8 +275,8 @@ class TestCcl:
             x = rng.normal(size=(n, int(rng.integers(1, 5))))
             d = euclidean_dissimilarity(FeatureMatrix(x))
             cs = random_constraints(rng, n)
-            edited, ceiling, symmetric = _edit(d, cs)
-            got = _close_through_endpoints(edited, cs, ceiling, symmetric)
+            edited, ceiling = _edit(d, cs)
+            got = _close_through_endpoints(edited, cs, ceiling)
             want = full_closure_edit(d, cs.similar, cs.dissimilar)
             assert np.max(np.abs(got - want)) <= 1e-12 * ceiling
             assert all(got[i, j] == got[j, i] == ceiling for i, j in cs.dissimilar)
@@ -298,18 +300,6 @@ class TestCcl:
             for rs in _run_seeds(0, 2):
                 assert_closure_matches_per_endpoint_passes(d, _draw_constraints(sub, 30, rs))
 
-    def test_endpoint_closure_matches_per_endpoint_passes_on_skewed_input(self):
-        # rows and columns differ within the 1e-12 that validation accepts
-        data = normalize_minmax(synth2(0))
-        d = euclidean_dissimilarity(data)
-        rng = np.random.default_rng(89)
-        skewed = d + 5e-13 * rng.integers(0, 2, d.shape)
-        np.fill_diagonal(skewed, 0.0)
-        for rs in _run_seeds(0, 2):
-            cs = _draw_constraints(data, 30, rs)
-            assert not _edit(skewed, cs)[2]
-            assert_closure_matches_per_endpoint_passes(skewed, cs)
-
     def test_cannot_link_barrier_survives_huge_magnitudes(self):
         # at 1e17 the spacing of floats exceeds 1, so max + 1 == max
         data = normalize_minmax(synth2(0))
@@ -320,8 +310,8 @@ class TestCcl:
             barrier = np.zeros(d.shape, dtype=bool)
             for i, j in cs.dissimilar:
                 barrier[i, j] = barrier[j, i] = True
-            edited, ceiling, symmetric = _edit(big, cs)
-            closed = _close_through_endpoints(edited.copy(), cs, ceiling, symmetric)
+            edited, ceiling = _edit(big, cs)
+            closed = _close_through_endpoints(edited.copy(), cs, ceiling)
             for m in (edited, closed):
                 assert m[barrier].min() > m[~barrier].max()
             assert np.array_equal(ccl(big, cs, 3).labels, ccl(d, cs, 3).labels)

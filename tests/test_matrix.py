@@ -71,7 +71,7 @@ class TestMappedCallers:
 
     def test_edit_copy_is_mapped(self):
         d = euclidean_dissimilarity(points(5, N_MAPPED))
-        e, _, _ = _edit(d, ConstraintSet(frozenset({(0, 1)}), frozenset({(2, 3)}), N_MAPPED))
+        e, _ = _edit(d, ConstraintSet(frozenset({(0, 1)}), frozenset({(2, 3)}), N_MAPPED))
         assert mapping(e) is not None and not np.shares_memory(e, d)
 
     def test_same_partitions_from_heap_and_mapped_copies(self, monkeypatch):

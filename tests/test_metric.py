@@ -18,6 +18,7 @@ from conivat import (
     project_psd,
     sanitize,
 )
+from conivat import metric
 from conivat.metric import _TILE, _project_feasible
 from oracles import gram_distances, project_psd_halfspace, psd_clamp_charpoly, xing_metric_oracle
 
@@ -187,7 +188,7 @@ class TestProjectFeasible:
             m_s = vs.T @ vs
             a = rng.normal(scale=3.0, size=(p, p))
             a = (a + a.T) / 2.0
-            x, lam = _project_feasible(a, m_s, float(np.sum(m_s * m_s)), 0.0, LearnConfig.max_projections)
+            x, lam = _project_feasible(a, m_s, float(np.sum(m_s * m_s)), 0.0)
             want = project_psd_halfspace(a, m_s)
             active += lam > 0.0
             assert float(np.tensordot(x, m_s)) <= 1.0 + 1e-6
@@ -195,9 +196,10 @@ class TestProjectFeasible:
             assert np.linalg.norm(x - a) <= np.linalg.norm(want - a) + 1e-7 * np.linalg.norm(a)
         assert active >= 10
 
-    def test_one_refinement_still_feasible(self, blob_instance):
+    def test_one_refinement_still_feasible(self, blob_instance, monkeypatch):
+        monkeypatch.setattr(metric, "_MAX_PROJECTIONS", 1)
         data, c = blob_instance
-        a, report = learn_metric(data, c, LearnConfig(max_projections=1))
+        a, report = learn_metric(data, c)
         assert report.learned
         assert report.c1_residual <= 1e-6
         assert similar_quadratic_sum(a, data, c) <= 1.0 + 1e-6
@@ -256,7 +258,7 @@ class TestLearnMetric:
                 assert np.linalg.norm(step - w) <= np.linalg.norm(a - w) + 1e-10
 
     def test_config_validation(self):
-        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}, {"max_projections": 0}):
+        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}):
             with pytest.raises(ValueError):
                 LearnConfig(**kw)
 

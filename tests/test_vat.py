@@ -8,22 +8,25 @@ from hypothesis import strategies as st
 from conivat import (
     ConstraintSet,
     FeatureMatrix,
+    ccl,
     conivat_pipeline,
     cut_mst,
     dissimilarity_under_metric,
     euclidean_dissimilarity,
     generate_from_labels,
+    hac,
     impose_similar,
     learn_metric,
     minimax_transform,
     partition_accuracy,
     render,
     sanitize,
+    ssl,
     validate_dissimilarity,
     vat_reorder,
 )
 from conivat.clustering import _edit
-from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _validate, _vat_traversal
+from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _vat_traversal
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
@@ -58,6 +61,31 @@ def assert_pipeline_contract(vat, d):
     mm = floyd_warshall_minimax(d)[np.ix_(vat.order, vat.order)]
     assert np.array_equal(render(vat, scale="rank").pixels, rank_render(mm))
     assert np.array_equal(render(vat, scale="linear").pixels, linear_render(mm))
+
+
+# generator seed, n, and the one skewed entry (None: 0 or 5e-13 on every entry)
+SKEWED_CASES = [
+    pytest.param(101, 2, None, id="dense-n2"),
+    pytest.param(103, 9, None, id="dense-n9"),
+    pytest.param(107, 24, None, id="dense-n24"),
+    pytest.param(109, _TILE + 12, None, id="dense-two-tiles"),
+    pytest.param(113, 2 * _TILE + 5, (_TILE - 1, _TILE), id="tile-edge-upper"),
+    pytest.param(127, 2 * _TILE + 5, (_TILE, _TILE - 1), id="tile-edge-lower"),
+    pytest.param(131, 2 * _TILE + 5, (2 * _TILE + 4, 2 * _TILE), id="last-tile"),
+    pytest.param(137, 2 * _TILE + 5, (0, 2 * _TILE + 4), id="last-column-tile"),
+]
+
+
+def skewed_matrix(seed, n, entry):
+    """A tie-dense integer matrix whose entries differ from their mirrors by up to 5e-13."""
+    rng = np.random.default_rng(seed)
+    d = integer_dissimilarity(rng, n)
+    if entry is None:
+        d += 5e-13 * rng.integers(0, 2, (n, n))
+        np.fill_diagonal(d, 0.0)
+    else:
+        d[entry] += 5e-13
+    return d
 
 
 @pytest.fixture()
@@ -109,22 +137,43 @@ class TestValidateDissimilarity:
             validate_dissimilarity(bad)
         ok = d.copy()
         ok[i, j] += 5e-13
-        assert validate_dissimilarity(ok) is ok
+        validate_dissimilarity(ok)
 
-
-    def test_exact_symmetry_reported_for_package_matrices_only(self, iris_norm):
+    def test_package_matrices_validate_without_a_copy(self, iris_norm):
+        # every matrix the package builds is exactly symmetric, so no
+        # workload pays for the mirrored copy
         cs = sanitize(generate_from_labels(iris_norm, 30, seed=0))
         d = euclidean_dissimilarity(iris_norm)
         learned = dissimilarity_under_metric(iris_norm, learn_metric(iris_norm, cs)[0])
-        edited, _, symmetric = _edit(d, cs)
-        assert symmetric
+        edited, _ = _edit(d, cs)
         for m in (d, learned, edited):
-            assert _validate(m)[1]
-        for i, j in ((0, 1), (_TILE - 1, 3), (2, iris_norm.n - 1)):
-            skewed = d.copy()
-            skewed[i, j] += 5e-13
-            assert not _validate(skewed)[1]
-            assert not _edit(skewed, cs)[2]
+            assert validate_dissimilarity(m) is m
+
+    @pytest.mark.parametrize("seed, n, entry", SKEWED_CASES)
+    def test_skewed_input_reads_as_its_upper_triangle_mirror(self, seed, n, entry):
+        skewed = skewed_matrix(seed, n, entry)
+        before = skewed.copy()
+        mirror = skewed.copy()
+        upper = np.triu_indices(n, 1)
+        mirror[upper[::-1]] = skewed[upper]
+        assert not np.array_equal(mirror, skewed)
+        rng = np.random.default_rng(n)
+        pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(max(1, n // 4))}
+        similar = {p for p in pairs if rng.random() < 0.5}
+        cs = sanitize(ConstraintSet(frozenset(similar), frozenset(pairs - similar), n))
+        ks = sorted({min(2, n), max(1, n // 3), max(1, 2 * n // 3)})
+
+        def results(m):
+            vat = vat_reorder(m)
+            out = [validate_dissimilarity(m), vat.order, vat.mst_parent, vat.cut_magnitudes, minimax_transform(m)]
+            for k in ks:
+                out += [hac(m, k, "single").labels, hac(m, k, "complete").labels]
+                out += [ssl(m, cs, k).labels, ccl(m, cs, k).labels]
+            return out
+
+        for got, want in zip(results(skewed), results(mirror)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert skewed.tobytes() == before.tobytes()
 
 
 class TestVatReorder:
@@ -185,9 +234,9 @@ class TestVatReorder:
 
 def assert_prim_matches_reference(d):
     """``_prim`` from every seed gives the bytes of ``naive_vat_prim``."""
-    d, symmetric = _validate(d)
+    d = validate_dissimilarity(d)
     for seed in range(d.shape[0]):
-        got, want = _prim(d, seed, symmetric), naive_vat_prim(d, seed)
+        got, want = _prim(d, seed), naive_vat_prim(d, seed)
         for name, a, b in zip(("order", "mst_parent", "cut_magnitudes"), got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, seed)
 
@@ -204,19 +253,6 @@ class TestPrimKernel:
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         assert_prim_matches_reference(d + d.T)
-
-    def test_matches_reference_on_skewed_integer_matrices(self):
-        # within the 1e-12 that validation accepts, d[i, j] != d[j, i], so
-        # the anchors must be read from the columns of d
-        rng = np.random.default_rng(73)
-        for _ in range(30):
-            n = int(rng.integers(2, 25))
-            skew = rng.integers(0, 2, (n, n))
-            skew[0, 1], skew[1, 0] = 1, 0
-            d = integer_dissimilarity(rng, n) + 5e-13 * skew
-            np.fill_diagonal(d, 0.0)
-            assert not _validate(d)[1]
-            assert_prim_matches_reference(d)
 
     def test_matches_reference_on_euclidean_with_zeroed_pairs(self):
         # zeroed similar pairs tie at the cut, and n > _TILE spans two blocks
@@ -390,5 +426,5 @@ class TestPipelineEqualsComposition:
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
-        order, parent, cuts = _vat_traversal(*_validate(d))
+        order, parent, cuts = _vat_traversal(d)
         assert_pipeline_contract(VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), d)
