@@ -35,9 +35,7 @@ from .metric import (
     euclidean_dissimilarity,
     gradient_g,
     learn_metric,
-    mahalanobis_distance,
     objective_g,
-    project_c1,
     project_psd,
 )
 from .rdi import RdiImage, render, write_pgm
@@ -69,12 +67,10 @@ __all__ = [
     "learn_metric",
     "load_csv",
     "load_iris",
-    "mahalanobis_distance",
     "minimax_transform",
     "normalize_minmax",
     "objective_g",
     "partition_accuracy",
-    "project_c1",
     "project_psd",
     "read_constraints",
     "remove_inconsistent",

@@ -1,9 +1,10 @@
 """Partition extraction from VAT MSTs plus baseline hierarchical algorithms.
 
 Cutting the k-1 largest MST edges of a VAT traversal yields exactly the
-single-linkage clusters of the underlying matrix (Gower & Ross, 1969), so
-every single-linkage result here is such a cut: ``cut_mst`` for the
-pipelines, and ``hac(..., "single")`` over a traversal of its own input.
+single-linkage clusters of the underlying matrix (Gower & Ross, 1969), each
+a contiguous run of the VAT order (Havens et al., 2009), so every
+single-linkage result here is such a cut: ``cut_mst`` for the pipelines,
+and ``hac(..., "single")`` over a traversal of its own input.
 ``hac`` with complete linkage is the classical agglomerative loop; it
 caches each row's first minimum, so a merge touches only the rows whose
 minimum it can move. ``ccl``/``ssl`` are the constraint-editing baselines
@@ -14,7 +15,8 @@ endpoints as intermediates, and clusters with complete linkage. ``ssl``
 clusters the edited matrix with single linkage directly, since the
 propagation cannot change single-linkage merge heights. Both validate their
 input once, in the edit, and hand the edited copy straight to the
-traversal or the merge loop.
+traversal or the merge loop. A matrix is copied at most once: the copy
+validation makes of a skewed input is edited in place.
 """
 
 from __future__ import annotations
@@ -51,23 +53,25 @@ class Partition:
         return self.labels.shape[0]
 
 
-def _cut_tree(order: np.ndarray, parent: np.ndarray, cuts: np.ndarray, k: int) -> Partition:
-    """Cut the k-1 largest edges of a VAT traversal's MST; see ``cut_mst``."""
+def _cut_tree(order: np.ndarray, cuts: np.ndarray, k: int) -> Partition:
+    """Cut the k-1 largest edges of a VAT traversal's MST; see ``cut_mst``.
+
+    Edge t-1 admitted position t, and cutting it starts a new cluster at t,
+    so each cluster is a run of positions whose id counts the cuts up to
+    it. That is the partition of the tree: an uncut position t stays with
+    its MST parent p, an earlier position at distance cuts[t-1], and no cut
+    lies between them. When a position c with p < c < t was admitted, t was
+    unvisited and p visited, so cuts[c-1] <= d(p, t) = cuts[t-1]. The cut
+    edges are the largest in the order (weight, position), so had edge c-1
+    been cut, edge t-1 would have been too.
+    """
     n = order.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    by_weight = np.lexsort((np.arange(n - 1), cuts))
-    cut = set(by_weight[n - k:].tolist())
-    ordered_labels = np.zeros(n, dtype=int)
-    next_id = 0
-    for t in range(1, n):
-        if t - 1 in cut:
-            next_id += 1
-            ordered_labels[t] = next_id
-        else:
-            ordered_labels[t] = ordered_labels[parent[t]]
+    starts = np.zeros(n, dtype=int)
+    starts[np.lexsort((np.arange(n - 1), cuts))[n - k:] + 1] = 1
     labels = np.empty(n, dtype=int)
-    labels[order] = ordered_labels
+    labels[order] = np.cumsum(starts)
     return Partition(labels=labels, k=k)
 
 
@@ -75,10 +79,20 @@ def cut_mst(vat: VatResult, k: int) -> Partition:
     """Partition into k clusters by cutting the k-1 largest MST edges.
 
     Ties between equal-weight edges cut the one admitted later in the VAT
-    ordering. Cluster ids run 0..k-1 in order of first appearance along the
-    ordering; labels are returned in original index order.
+    ordering. Each cluster is a contiguous run of the ordering, and cluster
+    ids run 0..k-1 along it; labels are returned in original index order.
     """
-    return _cut_tree(vat.order, vat.mst_parent, vat.cut_magnitudes, k)
+    return _cut_tree(vat.order, vat.cut_magnitudes, k)
+
+
+def _validated_copy(d: np.ndarray) -> np.ndarray:
+    """``validate_dissimilarity(d)``, copied only if it may share memory with ``d``.
+
+    The result is safe to overwrite. An ``is`` test would not do: for an
+    ndarray subclass validation returns a base-class view of its memory.
+    """
+    m = validate_dissimilarity(d)
+    return copy_matrix(m) if np.may_share_memory(m, d) else m
 
 
 def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
@@ -86,17 +100,17 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
 
     ``linkage`` is "single" (merge distance = min pairwise) or "complete"
     (max pairwise). Single linkage is ``cut_mst`` of the VAT traversal of
-    ``d``: among equal-weight MST edges the later-admitted one is cut, and
-    ids follow first appearance along the VAT order. Complete linkage
-    merges until k clusters remain; merge ties pick the lexicographically
-    smallest pair of cluster representatives, a cluster's representative
-    being its lowest member index, and ids follow the representatives.
+    ``d``: among equal-weight MST edges the later-admitted one is cut, each
+    cluster is a run of the VAT order, and ids increase along it. Complete
+    linkage merges until k clusters remain; merge ties pick the
+    lexicographically smallest pair of cluster representatives, a cluster's
+    representative being its lowest member index, and ids follow the
+    representatives.
     """
-    d = validate_dissimilarity(d)
     if linkage == "single":
-        return _cut_tree(*_vat_traversal(d), k)
+        return _cut_tree(*_vat_traversal(validate_dissimilarity(d)), k)
     if linkage == "complete":
-        return _complete_linkage(copy_matrix(d), k)
+        return _complete_linkage(_validated_copy(d), k)
     raise ValueError(f"linkage must be 'single' or 'complete', got {linkage!r}")
 
 
@@ -144,13 +158,12 @@ def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
     validated ``d`` and valid by construction: callers hand it to the
     traversal or merge loop without validating it again.
     """
-    d = validate_dissimilarity(d)
-    n = d.shape[0]
+    out = _validated_copy(d)
+    n = out.shape[0]
     for i, j in cs.similar | cs.dissimilar:
         if i >= n or j >= n:
             raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
-    out = copy_matrix(d)
-    top = float(d.max())
+    top = float(out.max())
     ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
     for i, j in cs.similar:
         out[i, j] = out[j, i] = 0.0

@@ -17,7 +17,7 @@ P_PSD(A - lam M_S) at the smallest multiplier lam >= 0 that satisfies C1;
 P_PSD clamps negative eigenvalues to zero, and lam comes from a scalar
 root-find on ``np.linalg.eigh`` warm-started from the previous step's
 multiplier, refined by at most ``_MAX_PROJECTIONS`` evaluations.
-``project_c1`` and ``project_psd`` project onto each set alone.
+``project_psd`` projects onto the PSD cone alone.
 
 Ascent stops when the objective change drops below ``epsilon`` or after
 ``max_iters`` steps. A starts at the identity, so the pre-learning
@@ -68,16 +68,6 @@ class LearnReport:
         return len(self.objective_trace)
 
 
-def mahalanobis_distance(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Distance under the quadratic form A; negative round-off is clamped."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, x is {x.shape}, y is {y.shape}")
-    v = x - y
-    return float(np.sqrt(max(0.0, v @ a @ v)))
-
-
 def _pair_diffs(data: FeatureMatrix, pairs) -> np.ndarray:
     pairs = sorted(pairs)
     if not pairs:
@@ -117,22 +107,6 @@ def gradient_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndar
 def _similar_outer(data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
     vs = _pair_diffs(data, cs.similar)
     return vs.T @ vs
-
-
-def project_c1(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
-    """Frobenius-nearest point of the half-space sum_similar d_A^2 <= 1.
-
-    Identity operation when the similar side is empty or its pairs are all
-    coincident (M_S = 0).
-    """
-    a = np.array(a, dtype=float)
-    if not cs.similar:
-        return a
-    m_s = _similar_outer(data, cs)
-    excess = float(np.tensordot(a, m_s)) - 1.0
-    if excess <= 0.0:
-        return a
-    return a - (excess / float(np.sum(m_s * m_s))) * m_s
 
 
 def project_psd(a: np.ndarray) -> np.ndarray:

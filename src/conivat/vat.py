@@ -8,17 +8,17 @@ ConiVAT runs the same machinery on a matrix that has been reshaped by
 constraint-learned Mahalanobis distances and zeroed similar pairs.
 
 One Prim traversal of the distance matrix serves an assessment, and its
-result is the traversal alone: order, parents and cut magnitudes. The
-traversal keeps one vector of distances to the admitted set and spends
-three vector calls per step; each object's parent, the lowest-index
-earlier-admitted object at exactly its cut, is found after the loop in one
-pass over the rows of the matrix (``_prim``). The minimax distance between
-the objects a VAT traversal admits at positions s < t is the largest cut
-magnitude between them, max(cuts[s:t]) (the running-max lemma, see
-``minimax_transform``). So, as in Havens & Bezdek's efficient iVAT, the
-minimax matrix in the VAT order of the distance matrix is the running-max
-matrix of the cuts, and ``rdi.render`` draws it from them; no n x n matrix
-outlives the traversal. The plain VAT image of ``d`` is
+result is the traversal alone: order and cut magnitudes. The traversal
+keeps one vector of distances to the admitted set and spends three vector
+calls per step (``_prim``). The minimax distance between the objects a VAT
+traversal admits at positions s < t is the largest cut magnitude between
+them, max(cuts[s:t]) (the running-max lemma, see ``minimax_transform``).
+So, as in Havens & Bezdek's efficient iVAT, the minimax matrix in the VAT
+order of the distance matrix is the running-max matrix of the cuts, and
+``rdi.render`` draws it from them; no n x n matrix outlives the traversal.
+For the same reason every single-linkage cluster is a contiguous run of
+the VAT order, so the order and the cuts give every partition
+(``clustering.cut_mst``). The plain VAT image of ``d`` is
 ``d[np.ix_(order, order)]``.
 """
 
@@ -36,7 +36,7 @@ from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclid
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
-_TILE = 128  # side of the symmetry check's tiles; rows per block of the anchor search
+_TILE = 128  # side of the symmetry check's tiles
 
 
 def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
@@ -83,16 +83,13 @@ class VatResult:
     """The VAT minimum spanning tree traversal of a dissimilarity matrix.
 
     ``order[t]`` is the original index of the object in ordered position t.
-    ``mst_parent[t]`` (t >= 1) is the ordered position the t-th object
-    attached to; entry 0 is -1 for the seed. ``cut_magnitudes[t-1]`` is the
-    weight of the MST edge that admitted the t-th object, so cutting the
-    k-1 largest splits the tree into k single-linkage clusters. For s < t,
-    entry (s, t) of the minimax matrix in this order is
-    max(cut_magnitudes[s:t]).
+    ``cut_magnitudes[t-1]`` is the weight of the MST edge that admitted the
+    t-th object, so cutting the k-1 largest splits the order into k
+    contiguous runs, the single-linkage clusters. For s < t, entry (s, t) of
+    the minimax matrix in this order is max(cut_magnitudes[s:t]).
     """
 
     order: np.ndarray
-    mst_parent: np.ndarray
     cut_magnitudes: np.ndarray
 
     @property
@@ -100,23 +97,18 @@ class VatResult:
         return self.order.shape[0]
 
 
-def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Modified-Prim VAT traversal of a validated ``d`` from ``seed``.
 
     Each step admits the unvisited object closest to the visited set; ties
-    go to the lowest candidate index, then the lowest anchor index. Returns
-    (order, parent, cuts) as documented on ``VatResult``.
+    go to the lowest candidate index. Returns (order, cuts) as documented
+    on ``VatResult``.
 
     ``best[j]`` is the smallest d[i, j] over the admitted objects i. A step
     is three vector calls: add a penalty that is +inf on admitted objects
     and 0 elsewhere, take the argmin of the sum (its first minimum is the
     lowest candidate), and fold the new object's row into ``best`` with no
-    mask. The cut is ``best[j]`` at admission. Parents are found after the
-    loop: the anchor of j is the lowest-index object i admitted before j
-    with d[i, j] equal to j's cut, which is the anchor a per-step update
-    that keeps the lowest index on ties would hold. ``d`` is exactly
-    symmetric, so those entries are read from row j of ``d``, ``_TILE``
-    objects at a time.
+    mask. The cut is ``best[j]`` at admission.
     """
     n = d.shape[0]
     order = np.empty(n, dtype=int)
@@ -135,21 +127,7 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         # on equal values NumPy's minimum returns its second operand, so an
         # entry keeps the value it had, down to the sign of a zero
         np.minimum(d[j], best, out=best)
-
-    pos = np.empty(n, dtype=int)
-    pos[order] = np.arange(n)
-    cut_of = np.append(-1.0, cuts)[pos]  # the seed's -1 matches no entry
-    anchor = np.zeros(n, dtype=int)
-    for a in range(0, n, _TILE):
-        objs, cands = np.divmod(np.flatnonzero(d[a:a + _TILE] == cut_of[a:a + _TILE, None]), n)
-        objs += a
-        earlier = pos[cands] < pos[objs]
-        # row-major order lists each object's candidates by increasing index
-        objs, first = np.unique(objs[earlier], return_index=True)
-        anchor[objs] = cands[earlier][first]
-    parent = pos[anchor[order]]
-    parent[0] = -1
-    return order, parent, cuts
+    return order, cuts
 
 
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
@@ -171,7 +149,7 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
     return _prim(d, int(np.argmax(d)) // d.shape[0])
 
@@ -181,10 +159,10 @@ def vat_reorder(d: np.ndarray) -> VatResult:
 
     The seed is the row holding the global maximum entry (row-major first on
     ties). Each step admits the unvisited object closest to the visited set;
-    ties go to the lowest candidate index, then the lowest anchor index.
+    ties go to the lowest candidate index.
     """
-    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
-    return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts)
+    order, cuts = _vat_traversal(validate_dissimilarity(d))
+    return VatResult(order=order, cut_magnitudes=cuts)
 
 
 def minimax_transform(d: np.ndarray) -> np.ndarray:
@@ -200,7 +178,7 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     traversal gives the whole matrix, with no per-pair path search. Output
     is ultrametric and entrywise dominated by the input.
     """
-    order, _, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, cuts = _vat_traversal(validate_dissimilarity(d))
     pos = np.argsort(order)
     return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
@@ -254,5 +232,5 @@ def conivat_pipeline(
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
-    order, parent, cuts = _vat_traversal(validate_dissimilarity(d))
-    return VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), report
+    order, cuts = _vat_traversal(validate_dissimilarity(d))
+    return VatResult(order=order, cut_magnitudes=cuts), report

@@ -119,6 +119,29 @@ def naive_vat_prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np
     return order, parent, cuts
 
 
+def parent_walk_labels(order, parent, cuts, k: int) -> np.ndarray:
+    """Labels from cutting the k-1 largest edges of a traversal's MST, by walking parents.
+
+    ``order``, ``parent`` and ``cuts`` are as ``naive_vat_prim`` returns
+    them. Ties between equal-weight edges cut the later-admitted one. Each
+    cut position opens the next cluster id; every other position takes the
+    id of its parent. Labels come back in original index order.
+    """
+    n = len(order)
+    cut = set(np.lexsort((np.arange(n - 1), cuts))[n - k:].tolist())
+    ordered = np.zeros(n, dtype=int)
+    next_id = 0
+    for t in range(1, n):
+        if t - 1 in cut:
+            next_id += 1
+            ordered[t] = next_id
+        else:
+            ordered[t] = ordered[parent[t]]
+    labels = np.empty(n, dtype=int)
+    labels[order] = ordered
+    return labels
+
+
 def endpoint_closure_fw(e: np.ndarray, similar, dissimilar, ceiling: float) -> np.ndarray:
     """Endpoint shortest-path closure of an edited matrix, one full pass per endpoint.
 

@@ -22,15 +22,20 @@ from conivat import (
     vat_reorder,
 )
 from conivat import clustering
+from conivat import vat as vat_module
+from conivat._matrix import copy_matrix
 from conivat.clustering import _close_through_endpoints, _edit
 from conivat.evaluation import _draw_constraints, _run_seeds
-from conivat.vat import conivat_pipeline
+from conivat.vat import _TILE, conivat_pipeline
 from oracles import (
     canonical_labels,
     endpoint_closure_fw,
     full_closure_edit,
     is_single_linkage_partition,
+    integer_dissimilarity,
     naive_hac,
+    naive_vat_prim,
+    parent_walk_labels,
     partitions_equal,
     random_dissimilarity,
 )
@@ -123,6 +128,29 @@ class TestCutMst:
             vat = vat_reorder(random_dissimilarity(rng, 12))
             for k in range(1, 12):
                 assert_refines(cut_mst(vat, k + 1), cut_mst(vat, k))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(_TILE - 2, _TILE + 12)),
+        levels=st.integers(2, 4),
+        zeroed=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_runs_match_parent_walk_on_tie_dense_matrices(self, n, levels, zeroed, seed):
+        # each cluster is a run of the VAT order: labelling the runs gives
+        # the bytes of the parent walk over the reference traversal's MST
+        rng = np.random.default_rng(seed)
+        d = integer_dissimilarity(rng, n, levels)
+        for _ in range(zeroed if n > 1 else 0):
+            i, j = rng.choice(n, 2, replace=False)
+            d[i, j] = d[j, i] = 0.0  # a zeroed similar pair
+        vat = vat_reorder(d)
+        order, parent, cuts = naive_vat_prim(d, int(np.argmax(d)) // n)
+        assert np.array_equal(vat.order, order) and np.array_equal(vat.cut_magnitudes, cuts)
+        for k in range(1, n + 1):
+            got = cut_mst(vat, k).labels
+            want = parent_walk_labels(order, parent, cuts, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
 
 
 class TestHac:
@@ -351,6 +379,54 @@ class TestSsl:
             closed = full_closure_edit(d, cs.similar, cs.dissimilar)
             for k in range(1, n + 1):
                 assert is_single_linkage_partition(closed, ssl(d, cs, k).labels, k)
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: validation hands back a base-class view of its memory."""
+
+
+class TestEditedCopies:
+    """``ssl``, ``ccl`` and complete-linkage ``hac`` overwrite one copy of their input."""
+
+    @staticmethod
+    def runs(d, cs):
+        return {
+            "ssl": lambda: ssl(d, cs, 3),
+            "ccl": lambda: ccl(d, cs, 3),
+            "hac-complete": lambda: hac(d, 3, "complete"),
+        }
+
+    @staticmethod
+    def constraints(n):
+        return sanitize(ConstraintSet(frozenset([(0, 5), (2, 9)]), frozenset([(1, 3), (4, 8)]), n))
+
+    @pytest.mark.parametrize("skew", [0.0, 5e-13], ids=["exact", "skewed"])
+    def test_one_matrix_copy_per_call(self, monkeypatch, skew):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return copy_matrix(m)
+
+        for module in (clustering, vat_module):
+            monkeypatch.setattr(module, "copy_matrix", counted)
+        d = random_dissimilarity(np.random.default_rng(89), 20)
+        d[6, 11] += skew
+        before = d.copy()
+        for name, run in self.runs(d, self.constraints(20)).items():
+            calls.clear()
+            run()
+            assert calls == [(20, 20)], name
+        assert d.tobytes() == before.tobytes()
+
+    def test_subclass_input_left_unchanged(self):
+        plain = random_dissimilarity(np.random.default_rng(97), 20)
+        tagged = plain.copy().view(_Tagged)
+        cs = self.constraints(20)
+        want = {name: run().labels for name, run in self.runs(plain, cs).items()}
+        for name, run in self.runs(tagged, cs).items():
+            assert np.array_equal(run().labels, want[name]), name
+            assert np.asarray(tagged).tobytes() == plain.tobytes(), name
 
 
 class TestSuggestK:

@@ -12,9 +12,7 @@ from conivat import (
     generate_from_labels,
     gradient_g,
     learn_metric,
-    mahalanobis_distance,
     objective_g,
-    project_c1,
     project_psd,
     sanitize,
 )
@@ -45,26 +43,6 @@ def blob_instance():
     sim = [(0, 1), (2, 3), (8, 9), (10, 11), (12, 13)]
     dis = [(0, 8), (1, 9), (2, 10), (3, 11), (4, 12)]
     return data, sanitize(cs(sim, dis, 16))
-
-
-class TestMahalanobisDistance:
-    def test_identity_is_euclidean(self):
-        assert mahalanobis_distance(np.eye(2), np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_zero_for_equal_points(self):
-        a = random_psd(np.random.default_rng(0), 3)
-        x = np.array([1.0, 2.0, 3.0])
-        assert mahalanobis_distance(a, x, x) == 0.0
-
-    def test_diagonal_weighting(self):
-        a = np.diag([4.0, 1.0])
-        assert mahalanobis_distance(a, np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(5.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mahalanobis_distance(np.eye(2), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            mahalanobis_distance(np.eye(2), np.zeros(2), np.zeros(3))
 
 
 class TestObjective:
@@ -115,44 +93,6 @@ class TestGradient:
             e /= np.linalg.norm(e)
             fd = (objective_g(a + h * e, data, c) - objective_g(a - h * e, data, c)) / (2.0 * h)
             assert abs(float(np.tensordot(gradient_g(a, data, c), e)) - fd) < 1e-5
-
-
-class TestProjectC1:
-    def test_feasible_input_unchanged(self, blob_instance):
-        data, c = blob_instance
-        a = 1e-4 * np.eye(2)
-        assert np.array_equal(project_c1(a, data, c), a)
-
-    def test_scalar_halfspace(self):
-        data = FeatureMatrix(np.array([[0.0], [1.0]]))
-        got = project_c1(np.array([[2.0]]), data, cs([(0, 1)], [], 2))
-        assert got == pytest.approx(np.array([[1.0]]))
-
-    def test_output_feasible_and_nearest(self, blob_instance):
-        data, c = blob_instance
-        m_s = sum(np.outer(data.points[i] - data.points[j], data.points[i] - data.points[j]) for i, j in c.similar)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(scale=3.0, size=(2, 2))
-            a = (a + a.T) / 2.0
-            proj = project_c1(a, data, c)
-            assert similar_quadratic_sum(proj, data, c) <= 1.0 + 1e-9
-            # nearest point of the half-space: no sampled feasible W is closer
-            for _ in range(10):
-                w = random_psd(rng, 2, floor=0.0)
-                s = float(np.tensordot(w, m_s))
-                if s > 1.0:
-                    w *= 0.9 / s
-                assert np.linalg.norm(proj - a) <= np.linalg.norm(w - a) + 1e-9
-
-    def test_empty_similar_is_identity_op(self, two_blobs):
-        a = np.array([[5.0, 1.0], [1.0, 4.0]])
-        assert np.array_equal(project_c1(a, two_blobs, ConstraintSet.empty(20)), a)
-
-    def test_coincident_pairs_leave_input(self):
-        data = FeatureMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        a = np.array([[9.0, 0.0], [0.0, 9.0]])
-        assert np.array_equal(project_c1(a, data, cs([(0, 1)], [], 2)), a)
 
 
 class TestProjectPsd:
@@ -237,25 +177,19 @@ class TestLearnMetric:
         assert report.learned
 
         def ratio(mat):
-            d_sim = [mahalanobis_distance(mat, iris_norm.points[i], iris_norm.points[j]) for i, j in c.similar]
-            d_dis = [mahalanobis_distance(mat, iris_norm.points[i], iris_norm.points[j]) for i, j in c.dissimilar]
-            return np.mean(d_sim) / np.mean(d_dis)
+            d = gram_distances(iris_norm.points, mat)
+            return np.mean([d[p] for p in c.similar]) / np.mean([d[p] for p in c.dissimilar])
 
         assert ratio(a) < ratio(np.eye(4))
 
-    def test_projection_passes_never_move_away_from_witnesses(self, blob_instance):
-        data, c = blob_instance
-        m_s = sum(np.outer(data.points[i] - data.points[j], data.points[i] - data.points[j]) for i, j in c.similar)
+    def test_projection_passes_never_move_away_from_witnesses(self):
+        # projection onto the convex PSD cone moves no farther from any PSD witness
         rng = np.random.default_rng(43)
         for _ in range(15):
             a = rng.normal(scale=2.0, size=(2, 2))
             a = (a + a.T) / 2.0
             w = random_psd(rng, 2, floor=0.0)
-            s = float(np.tensordot(w, m_s))
-            if s > 1.0:
-                w *= 0.9 / s  # scaled PSD stays PSD and lands inside C1
-            for step in (project_c1(a, data, c), project_psd(a)):
-                assert np.linalg.norm(step - w) <= np.linalg.norm(a - w) + 1e-10
+            assert np.linalg.norm(project_psd(a) - w) <= np.linalg.norm(a - w) + 1e-10
 
     def test_config_validation(self):
         for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}):

@@ -33,7 +33,7 @@ def as_vat(d):
 def from_cuts(cuts):
     """A chain traversal of len(cuts) + 1 objects admitted in index order."""
     n = len(cuts) + 1
-    return VatResult(order=np.arange(n), mst_parent=np.arange(n) - 1, cut_magnitudes=np.asarray(cuts, dtype=float))
+    return VatResult(order=np.arange(n), cut_magnitudes=np.asarray(cuts, dtype=float))
 
 
 def assert_matches_oracles(vat):

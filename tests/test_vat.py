@@ -51,7 +51,7 @@ def variant_matrix(data, cs, variant):
 
 
 def assert_same_traversal(v1, v2):
-    for field in ("order", "mst_parent", "cut_magnitudes"):
+    for field in ("order", "cut_magnitudes"):
         assert np.array_equal(getattr(v1, field), getattr(v2, field)), field
 
 
@@ -165,7 +165,7 @@ class TestValidateDissimilarity:
 
         def results(m):
             vat = vat_reorder(m)
-            out = [validate_dissimilarity(m), vat.order, vat.mst_parent, vat.cut_magnitudes, minimax_transform(m)]
+            out = [validate_dissimilarity(m), vat.order, vat.cut_magnitudes, minimax_transform(m)]
             for k in ks:
                 out += [hac(m, k, "single").labels, hac(m, k, "complete").labels]
                 out += [ssl(m, cs, k).labels, ccl(m, cs, k).labels]
@@ -180,7 +180,6 @@ class TestVatReorder:
     def test_single_item(self):
         res = vat_reorder(np.zeros((1, 1)))
         assert list(res.order) == [0]
-        assert list(res.mst_parent) == [-1]
         assert res.cut_magnitudes.size == 0
 
     def test_three_point_line(self):
@@ -188,12 +187,11 @@ class TestVatReorder:
         res = vat_reorder(d)
         # global max is d[0][2]; row-major argmax row 0 seeds the scan
         assert list(res.order) == [0, 1, 2]
-        assert list(res.mst_parent) == [-1, 0, 1]
         assert sorted(res.cut_magnitudes, reverse=True) == [9.0, 1.0]
 
     def test_tie_breaks_lowest_candidate_then_anchor(self):
-        # candidates 1 and 2 tie at distance 2 from the seed; 1 wins, and the
-        # returned parent for 2 is the lowest ordered anchor achieving the min
+        # candidates 1 and 2 tie at distance 2 from the seed; 1 wins, and 2
+        # is then admitted at 2 whichever of the tied anchors 0 and 1 it joins
         d = np.zeros((4, 4))
         d[0, 1] = d[1, 0] = 1.0
         d[0, 2] = d[2, 0] = 2.0
@@ -203,13 +201,7 @@ class TestVatReorder:
         d[2, 3] = d[3, 2] = 8.0
         res = vat_reorder(d)
         assert list(res.order) == [0, 1, 2, 3]
-        assert list(res.mst_parent) == [-1, 0, 0, 2]
         assert list(res.cut_magnitudes) == [1.0, 2.0, 8.0]
-
-    def test_equidistant_star_parents(self):
-        d = np.ones((4, 4)) - np.eye(4)
-        res = vat_reorder(d)
-        assert list(res.mst_parent) == [-1, 0, 0, 0]
 
     def test_reordered_is_permutation_of_input(self):
         rng = np.random.default_rng(5)
@@ -224,26 +216,18 @@ class TestVatReorder:
         res = vat_reorder(d)
         assert np.allclose(np.sort(res.cut_magnitudes), kruskal_mst_weights(d), atol=0)
 
-    def test_parents_precede_children(self):
-        rng = np.random.default_rng(21)
-        res = vat_reorder(random_dissimilarity(rng, 30))
-        for pos in range(1, 30):
-            assert 0 <= res.mst_parent[pos] < pos
-        assert res.mst_parent[0] == -1
-
 
 def assert_prim_matches_reference(d):
     """``_prim`` from every seed gives the bytes of ``naive_vat_prim``."""
     d = validate_dissimilarity(d)
     for seed in range(d.shape[0]):
-        got, want = _prim(d, seed), naive_vat_prim(d, seed)
-        for name, a, b in zip(("order", "mst_parent", "cut_magnitudes"), got, want):
+        order, _, cuts = naive_vat_prim(d, seed)
+        for name, a, b in zip(("order", "cut_magnitudes"), _prim(d, seed), (order, cuts)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, seed)
 
 
 class TestPrimKernel:
-    """The three-call Prim loop with anchors found after it, against the
-    per-step anchor loop it replaced."""
+    """The three-call Prim loop against the masked per-step loop with anchors."""
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
@@ -255,7 +239,7 @@ class TestPrimKernel:
         assert_prim_matches_reference(d + d.T)
 
     def test_matches_reference_on_euclidean_with_zeroed_pairs(self):
-        # zeroed similar pairs tie at the cut, and n > _TILE spans two blocks
+        # zeroed similar pairs tie at the cut, and n > _TILE spans two validation tiles
         rng = np.random.default_rng(79)
         for n in (2, 9, 40, _TILE + 12):
             d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, 3))))
@@ -426,5 +410,5 @@ class TestPipelineEqualsComposition:
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
-        order, parent, cuts = _vat_traversal(d)
-        assert_pipeline_contract(VatResult(order=order, mst_parent=parent, cut_magnitudes=cuts), d)
+        order, cuts = _vat_traversal(d)
+        assert_pipeline_contract(VatResult(order=order, cut_magnitudes=cuts), d)
