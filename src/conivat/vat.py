@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matrix import copy_matrix
+from ._matrix import copy_matrix, empty_matrix
 from .constraints import ConstraintSet, sanitize
 from .data import FeatureMatrix
 from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclidean_dissimilarity, learn_metric
@@ -133,12 +133,12 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    It has the dtype of ``cuts``. Row t below the diagonal is row t-1 raised
-    to cuts[t-1], and above it row t+1 raised to cuts[t], so each row is one
-    vector maximum.
+    It has the dtype of ``cuts`` and comes from ``empty_matrix``. Row t
+    below the diagonal is row t-1 raised to cuts[t-1], and above it row t+1
+    raised to cuts[t], so each row is one vector maximum.
     """
     n = cuts.size + 1
-    out = np.empty((n, n), dtype=cuts.dtype)
+    out = empty_matrix(n, cuts.dtype)
     for t in range(1, n):
         np.maximum(out[t - 1, :t - 1], cuts[t - 1], out=out[t, :t - 1])
         out[t, t - 1] = cuts[t - 1]

@@ -1,12 +1,13 @@
-"""n x n matrix allocation: mapped from 1 MiB up, heap below, same values either way."""
+"""n x n matrix allocation: mapped from 1 MiB up after a heap trim, heap below, same values either way."""
 
 import mmap
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from conivat import ConstraintSet, FeatureMatrix, ccl, euclidean_dissimilarity, hac, ssl
+from conivat import ConstraintSet, FeatureMatrix, ccl, euclidean_dissimilarity, hac, render, ssl, vat_reorder
 from conivat import _matrix
 from conivat._matrix import copy_matrix, empty_matrix
 from conivat.clustering import _edit
@@ -52,6 +53,29 @@ class TestEmptyMatrix:
         assert ref() is None
 
 
+    def test_other_dtypes_map_from_the_same_byte_threshold(self):
+        side = int(np.ceil(np.sqrt(_matrix._MAP_BYTES)))  # uint8: one byte per entry
+        small, large = empty_matrix(side - 1, np.uint8), empty_matrix(side, np.uint8)
+        assert mapping(small) is None and isinstance(mapping(large), mmap.mmap)
+        assert small.dtype == large.dtype == np.uint8 and large.shape == (side, side)
+
+    def test_heap_trimmed_before_each_mapping_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_matrix, "_TRIM", lambda pad: calls.append(pad))
+        empty_matrix(N_MAPPED - 1)
+        assert calls == []
+        empty_matrix(N_MAPPED)
+        assert calls == [0]
+
+    def test_no_trim_where_the_c_library_has_none(self, monkeypatch):
+        monkeypatch.setattr(_matrix, "_TRIM", None)
+        assert isinstance(mapping(empty_matrix(N_MAPPED)), mmap.mmap)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="malloc_trim is glibc's")
+    def test_trim_found_on_linux(self):
+        assert callable(_matrix._heap_trim())
+
+
 class TestCopyMatrix:
     @pytest.mark.parametrize("n", [5, N_MAPPED])
     def test_equal_bytes_no_shared_memory(self, n):
@@ -68,6 +92,11 @@ class TestMappedCallers:
         got = dissimilarity_under_metric(data, a)
         assert mapping(got) is not None
         assert got.tobytes() == gram_distances(data.points, a).tobytes()
+
+    def test_rank_image_is_mapped(self):
+        side = int(np.ceil(np.sqrt(_matrix._MAP_BYTES)))
+        img = render(vat_reorder(euclidean_dissimilarity(points(9, side))), scale="rank")
+        assert isinstance(mapping(img.pixels), mmap.mmap) and img.pixels.dtype == np.uint8
 
     def test_edit_copy_is_mapped(self):
         d = euclidean_dissimilarity(points(5, N_MAPPED))
