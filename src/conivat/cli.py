@@ -37,12 +37,15 @@ class InputError(Exception):
     """User-supplied data or flags are unusable; maps to exit code 2."""
 
 
-def _add_common(p: argparse.ArgumentParser, *, variant: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, variant: bool = False, drawn: bool = True) -> None:
+    """Flags every subcommand reads; ``variant`` adds the assessment's, ``drawn`` ``--n-constraints``."""
     p.add_argument("--data", action="append", default=[], metavar="CSV", help="dataset CSV path (repeatable for benchmark)")
     p.add_argument("--gen", action="append", default=[], choices=sorted(_GENERATORS), help="built-in generator (repeatable for benchmark)")
     p.add_argument("--label-column", default=None, help="class column: header name or 0-based index")
-    p.add_argument("--constraints", default=None, metavar="FILE", help="constraint file ('S i j' / 'D i j' lines)")
-    p.add_argument("--n-constraints", type=int, default=30, help="constraints to draw from labels (default 30)")
+    if variant:
+        p.add_argument("--constraints", default=None, metavar="FILE", help="constraint file ('S i j' / 'D i j' lines)")
+    if drawn:
+        p.add_argument("--n-constraints", type=int, default=30, help="constraints to draw from labels (default 30)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", default=".", metavar="DIR", help="output directory (default .)")
     p.add_argument("--alpha", type=float, default=LearnConfig.alpha, help="metric-learning step size")
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablation)
 
     p = sub.add_parser("sweep", help="ConiVAT accuracy/time across constraint budgets")
-    _add_common(p)
+    _add_common(p, drawn=False)
     p.add_argument("--runs", type=int, default=10, help="scored runs per count (default 10)")
     p.add_argument("--counts", default=",".join(str(c) for c in SWEEP_COUNTS), help="comma-separated constraint counts")
     p.set_defaults(func=cmd_sweep)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._matrix import copy_matrix
 from .constraints import ConstraintSet
-from .vat import VatResult, _vat_traversal, validate_dissimilarity
+from .vat import VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
 
 _STRIP = 16384  # entries per row strip of the closure's n x n minimum
 
@@ -160,13 +160,12 @@ def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
     """
     out = _validated_copy(d)
     n = out.shape[0]
-    for i, j in cs.similar | cs.dissimilar:
+    for i, j in cs.dissimilar:
         if i >= n or j >= n:
             raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
     top = float(out.max())
     ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
-    for i, j in cs.similar:
-        out[i, j] = out[j, i] = 0.0
+    _zero_similar(out, cs)
     for i, j in cs.dissimilar:
         out[i, j] = out[j, i] = ceiling
     return out, ceiling

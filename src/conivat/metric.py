@@ -174,7 +174,8 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
 
     Requires a sanitized constraint set. When either constraint side is
     empty the optimum is unconstrained or degenerate, so the identity metric
-    is returned with ``report.learned`` False and zero iterations.
+    is returned with ``report.learned`` False and zero iterations. Raises
+    ``ValueError`` when the similar pairs' scatter M_S overflows.
     """
     cfg = cfg or LearnConfig()
     p = data.dim
@@ -183,8 +184,12 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
         return identity, LearnReport(min_eigenvalue=1.0 if p else 0.0)
 
     diffs_d = _pair_diffs(data, cs.dissimilar)
-    m_s = _similar_outer(data, cs)
-    m_s_sq = float(np.sum(m_s * m_s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_s = _similar_outer(data, cs)
+        m_s_sq = float(np.sum(m_s * m_s))
+    # an infinite ||M_S||^2 would start the projection's bracket at 0, and doubling 0 never ends
+    if not np.isfinite(m_s_sq):
+        raise ValueError("similar-pair scatter overflows; rescale the features")
 
     a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0)
     g_prev = _objective(a, diffs_d)
@@ -209,18 +214,30 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
 
 
 def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray:
-    """All-pairs distance matrix under the quadratic form A.
+    """All-pairs distance matrix under the PSD quadratic form A, valid by construction.
 
     Equivalent to mapping points through A^(1/2) and taking Euclidean
     distances; computed directly from the Gram matrix G instead, as
     sqrt(max(0, (s + s.T) / 2)) with s_ij = (G_ii + G_jj) - 2 G_ij. Each
     pair of tiles mirrored across the diagonal is finished at once and
     written back over G, so the n x n Gram matrix is the only one built.
+
+    The result passes ``vat.validate_dissimilarity`` unchanged, so the
+    package hands it to its kernels without that pass. It is exactly
+    symmetric, because each pair of mirrored tiles is written from one value
+    and its transpose; its diagonal is filled with 0; and max(0, .) before
+    the square root keeps it non-negative. It is finite, because the Gram
+    diagonal is checked before any tile: |G_ij| <= sqrt(G_ii G_jj) for a PSD
+    A, so s_ij + s_ji, the largest value a tile holds, is at most
+    8 max G_ii. Raises ``ValueError`` when that bound overflows.
     """
     x = data.points
     n = x.shape[0]
-    g = np.matmul(x @ a, x.T, out=empty_matrix(n))
-    gd = np.diag(g).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.matmul(x @ a, x.T, out=empty_matrix(n))
+        gd = np.diag(g).copy()
+        if not np.isfinite(8.0 * np.abs(gd).max()):
+            raise ValueError("squared distances overflow; rescale the features")
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, n, _TILE):

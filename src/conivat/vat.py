@@ -20,6 +20,13 @@ For the same reason every single-linkage cluster is a contiguous run of
 the VAT order, so the order and the cuts give every partition
 (``clustering.cut_mst``). The plain VAT image of ``d`` is
 ``d[np.ix_(order, order)]``.
+
+Matrices from outside are checked where they enter: ``vat_reorder``,
+``minimax_transform`` and ``clustering``'s ``hac``, ``ssl`` and ``ccl``
+read their input through ``validate_dissimilarity``. A matrix the package
+builds is valid by construction (``metric.dissimilarity_under_metric``),
+so ``conivat_pipeline`` hands it to the traversal without validating it
+again.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     mirror, ``d`` itself is returned. Otherwise the result is a new matrix
     whose lower triangle mirrors the upper triangle of ``d``: entries are
     moved, not computed, so values and signs of zero are kept, and ``d`` is
-    never written. Every algorithm of the package reads its input through
-    this function, so its result on such a ``d`` is its result on that
-    mirror.
+    never written. Every public function that takes a matrix reads it
+    through this function, so its result on such a ``d`` is its result on
+    that mirror.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -150,7 +157,7 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
 
 
 def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_prim`` over a validated ``d``, seeded at the row of its maximum."""
+    """``_prim`` over a validated or package-built ``d``, seeded at the row of its maximum."""
     return _prim(d, int(np.argmax(d)) // d.shape[0])
 
 
@@ -184,7 +191,7 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
 
 
 def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Set every similar pair's distance in ``d`` to zero, in place."""
+    """Set every similar pair's distance in ``d`` to zero, in place, both mirror entries."""
     n = d.shape[0]
     for i, j in cs.similar:
         if i >= n or j >= n:
@@ -218,7 +225,8 @@ def conivat_pipeline(
     distance across a cut (visited, rest) is below the lightest edge of
     ``d`` crossing it, which Prim admits next. The distance matrix is edited
     in place and dropped after its one traversal, so it is the only n x n
-    float matrix an assessment builds.
+    float matrix an assessment builds. It is built valid and the edit keeps
+    it so, hence it is not validated.
     """
     variant = variant.lower()
     if variant not in VARIANTS:
@@ -232,5 +240,5 @@ def conivat_pipeline(
         d = euclidean_dissimilarity(data)
     if variant in _IMPOSE_VARIANTS:
         _zero_similar(d, cs)
-    order, cuts = _vat_traversal(validate_dissimilarity(d))
+    order, cuts = _vat_traversal(d)
     return VatResult(order=order, cut_magnitudes=cuts), report

@@ -206,6 +206,18 @@ class TestErrorPaths:
                        "--constraints", str(cfile), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("benchmark", ["--constraints", "c.txt"]),
+        ("ablation", ["--constraints", "c.txt"]),
+        ("sweep", ["--constraints", "c.txt"]),
+        ("sweep", ["--n-constraints", "5"]),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, command, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--gen", "synth1", "--runs", "1", *flag, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_zero_runs(self, iris_csv, tmp_path):
         assert run_cli("benchmark", "--data", iris_csv, "--label-column", "species",
                        "--runs", "0", "--out", str(tmp_path)) == 2

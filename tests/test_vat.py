@@ -1,5 +1,8 @@
 """Seriation and minimax transform: orderings, MST structure, pipeline routes."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,15 +21,18 @@ from conivat import (
     impose_similar,
     learn_metric,
     minimax_transform,
+    normalize_minmax,
     partition_accuracy,
     render,
     sanitize,
     ssl,
+    synth2,
     validate_dissimilarity,
     vat_reorder,
 )
+from conivat import vat as vat_module
 from conivat.clustering import _edit
-from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _vat_traversal
+from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _vat_traversal, _zero_similar
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
@@ -37,6 +43,23 @@ from oracles import (
     rank_render,
     running_max_image,
 )
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 def variant_matrix(data, cs, variant):
     """The distance matrix the pipeline builds for ``variant``."""
@@ -141,12 +164,17 @@ class TestValidateDissimilarity:
 
     def test_package_matrices_validate_without_a_copy(self, iris_norm):
         # every matrix the package builds is exactly symmetric, so no
-        # workload pays for the mirrored copy
+        # workload pays for the mirrored copy; on synth2 the Gram matrix the
+        # builder starts from is skewed even at A = I
         cs = sanitize(generate_from_labels(iris_norm, 30, seed=0))
         d = euclidean_dissimilarity(iris_norm)
         learned = dissimilarity_under_metric(iris_norm, learn_metric(iris_norm, cs)[0])
         edited, _ = _edit(d, cs)
-        for m in (d, learned, edited):
+        data2 = normalize_minmax(synth2(0))
+        cs2 = sanitize(generate_from_labels(data2, 30, seed=0))
+        learned2 = dissimilarity_under_metric(data2, learn_metric(data2, cs2)[0])
+        zeroed2 = _zero_similar(learned2.copy(), cs2)
+        for m in (d, learned, edited, euclidean_dissimilarity(data2), learned2, zeroed2):
             assert validate_dissimilarity(m) is m
 
     @pytest.mark.parametrize("seed, n, entry", SKEWED_CASES)
@@ -378,6 +406,37 @@ class TestPipeline:
         v2, _ = conivat_pipeline(two_blobs, variant="ivat")
         assert_same_traversal(v1, v2)
         assert report is not None and not report.learned
+
+    def test_builds_its_matrix_valid_and_does_not_validate_it(self, iris_norm, monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d.shape)
+            return validate_dissimilarity(d)
+
+        monkeypatch.setattr(vat_module, "validate_dissimilarity", counted)
+        cs = generate_from_labels(iris_norm, 30, seed=0)
+        for variant in VARIANTS:
+            conivat_pipeline(iris_norm, cs, variant=variant)
+            assert calls == [], variant
+        vat_reorder(euclidean_dissimilarity(iris_norm))  # the public entry point still validates
+        assert calls == [(iris_norm.n, iris_norm.n)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("magnitude", [1e80, 1e155])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_overflowing_features_fail_fast_without_warnings(self, iris_norm, variant, magnitude):
+        # at 1e80 Euclidean distances still fit a float, the learner's
+        # ||M_S||^2 does not; at 1e155 neither do the squared distances
+        data = FeatureMatrix(iris_norm.points * magnitude, iris_norm.labels)
+        cs = generate_from_labels(iris_norm, 30, seed=0)
+        with deadline(10):
+            if variant not in ("metric_ivat", "conivat") and magnitude == 1e80:
+                vat, _ = conivat_pipeline(data, cs, variant=variant)
+                assert np.all(np.isfinite(vat.cut_magnitudes))
+            else:
+                with pytest.raises(ValueError, match="overflow"):
+                    conivat_pipeline(data, cs, variant=variant)
 
 
 class TestPipelineEqualsComposition:

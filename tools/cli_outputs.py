@@ -13,9 +13,12 @@ directory, for each of the bundled iris CSV, ``--gen synth1`` and
 * ``cluster`` for every variant at k = 2, 3, 4 and 5.
 
 Each run writes into its own directory, ``OUTDIR/<dataset>/<run>/``.
-Standard output is discarded, because the benchmark tables print wall
-time. To check that a change leaves every output byte-identical, run this
-in two checkouts and compare the trees:
+The standard output of ``assess`` and ``cluster`` goes to ``stdout.txt``
+there, its run directory replaced by ``<out>``, so the gate also covers
+the printed PA, k suggestions and learner summary. The standard output of
+``benchmark``, ``ablation`` and ``sweep`` is discarded, because their
+tables print wall time. To check that a change leaves every output
+byte-identical, run this in two checkouts and compare the trees:
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -70,11 +73,14 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0])
     failed = 0
     for name, run, run_argv in runs():
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main([*run_argv, "--out", str(root / name / run)])
+        out = root / name / run
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = cli.main([*run_argv, "--out", str(out)])
         if rc != 0:
             print(f"{name}/{run}: exit {rc}", file=sys.stderr)
             failed += 1
+        elif run_argv[0] in ("assess", "cluster"):
+            (out / "stdout.txt").write_text(stdout.getvalue().replace(str(out), "<out>"), encoding="utf-8")
     return 1 if failed else 0
 
 
