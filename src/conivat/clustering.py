@@ -254,6 +254,8 @@ def suggest_k(vat: VatResult) -> list[tuple[int, float]]:
     if vat.n < 2:
         raise ValueError("suggest_k needs at least 2 objects")
     desc = np.sort(vat.cut_magnitudes)[::-1]
-    scores = [(kk, float(desc[kk - 2] - desc[kk - 1])) for kk in range(2, vat.n)]
-    scores.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scores
+    gaps = desc[:-1] - desc[1:]
+    # largest gap first; a stable sort keeps equal gaps, -0.0 and +0.0
+    # included, in increasing k
+    order = np.argsort(-gaps, kind="stable")
+    return list(zip((order + 2).tolist(), gaps[order].tolist()))

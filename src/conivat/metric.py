@@ -221,6 +221,13 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
     sqrt(max(0, (s + s.T) / 2)) with s_ij = (G_ii + G_jj) - 2 G_ij. Each
     pair of tiles mirrored across the diagonal is finished at once and
     written back over G, so the n x n Gram matrix is the only one built.
+    The tiles are finished in three scratch blocks allocated once per call:
+    t = G_ii + G_jj is formed once for both sides, each side as
+    (-2 G_ij) + t, the mirror tile read transposed so that both sides are
+    summed in one layout, and the sum is halved as x * 0.5. These are the
+    operations of the formula above, bit for bit: IEEE subtraction is the
+    addition of the negation, scaling by -2 is exact, and x / 2 and x * 0.5
+    are both the correctly rounded value of the same real number.
 
     The result passes ``vat.validate_dissimilarity`` unchanged, so the
     package hands it to its kernels without that pass. It is exactly
@@ -238,16 +245,21 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
         gd = np.diag(g).copy()
         if not np.isfinite(8.0 * np.abs(gd).max()):
             raise ValueError("squared distances overflow; rescale the features")
+    side = min(n, _TILE)
+    t_buf, s_buf, m_buf = (np.empty((side, side)) for _ in range(3))
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, n, _TILE):
             cols = slice(j, j + _TILE)
-            s = np.add.outer(gd[rows], gd[cols])
-            s -= 2.0 * g[rows, cols]
-            s_mirror = np.add.outer(gd[cols], gd[rows])
-            s_mirror -= 2.0 * g[cols, rows]
-            s += s_mirror.T
-            s /= 2.0
+            h, w = gd[rows].size, gd[cols].size
+            t, s, s_mirror = t_buf[:h, :w], s_buf[:h, :w], m_buf[:h, :w]
+            np.add.outer(gd[rows], gd[cols], out=t)
+            np.multiply(g[rows, cols], -2.0, out=s)
+            s += t
+            np.multiply(g[cols, rows].T, -2.0, out=s_mirror)
+            s_mirror += t
+            s += s_mirror
+            s *= 0.5
             np.maximum(s, 0.0, out=s)
             np.sqrt(s, out=s)
             g[rows, cols] = s

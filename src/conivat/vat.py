@@ -43,7 +43,7 @@ from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclid
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
-_TILE = 128  # side of the symmetry check's tiles
+_TILE = 128  # side of the symmetry check's tiles and of the running-max fill's row blocks
 
 
 def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
@@ -140,18 +140,64 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    It has the dtype of ``cuts`` and comes from ``empty_matrix``. Row t
-    below the diagonal is row t-1 raised to cuts[t-1], and above it row t+1
-    raised to cuts[t], so each row is one vector maximum.
+    It has the dtype of ``cuts`` and comes from ``empty_matrix``. Its
+    entries are those of the row recursion in which row t below the
+    diagonal is row t-1 raised to cuts[t-1], and row t above it is row t+1
+    raised to cuts[t]. On equal values NumPy's maximum returns its second
+    operand, so an entry below the diagonal is the last largest cut of its
+    range and one above it the first; the two differ only in the sign of a
+    zero, and this function keeps both.
+
+    The rows are filled one block of ``_TILE`` at a time, in about twenty
+    NumPy calls per block rather than two per row. Below the diagonal,
+    for rows t0..t1-1: row t0 is row t0-1 raised to cuts[t0-1]; every later
+    row t of the block is first filled with the running maximum of
+    cuts[t0:t], and then row t0 is raised to it in one contiguous maximum
+    over the whole block. Above the diagonal, the mirror image, bottom up:
+    row t1-1 comes from row t1, and the rows above it hold the suffix
+    maxima of cuts[t:t1-1]. In both, the cuts nearer the entry's own row
+    are the second operand, as in the recursion. On the diagonal block each
+    triangle is a block of cuts masked to that triangle, with a cumulative
+    maximum taken down (below) or up (above) it, and one maximum joins the
+    two.
     """
     n = cuts.size + 1
-    out = empty_matrix(n, cuts.dtype)
-    for t in range(1, n):
-        np.maximum(out[t - 1, :t - 1], cuts[t - 1], out=out[t, :t - 1])
-        out[t, t - 1] = cuts[t - 1]
-    for t in range(n - 2, -1, -1):
-        np.maximum(out[t + 1, t + 2:], cuts[t], out=out[t, t + 2:])
-        out[t, t + 1] = cuts[t]
+    dt = cuts.dtype
+    out = empty_matrix(n, dt)
+    side = min(n, _TILE)
+    low, high = (-np.inf, np.inf) if dt.kind == "f" else (np.iinfo(dt).min, np.iinfo(dt).max)
+    # np.minimum against these keeps what lies strictly below (above) the
+    # diagonal and puts ``low`` elsewhere, which any cut replaces, ties included
+    keep_below = np.where(np.tri(side, k=-1, dtype=bool), dt.type(high), dt.type(low))
+    keep_above = keep_below.T.copy()
+    below, above = np.empty((2, side, side), dt)
+    for t0 in range(0, n, _TILE):
+        t1 = min(t0 + _TILE, n)
+        h = t1 - t0
+        run = cuts[t0:t1 - 1]
+        if t0 > 0:
+            np.maximum(out[t0 - 1, :t0 - 1], cuts[t0 - 1], out=out[t0, :t0 - 1])
+            out[t0, t0 - 1] = cuts[t0 - 1]
+            left = out[t0 + 1:t1, :t0]
+            left[...] = np.maximum.accumulate(run)[:, None]
+            np.maximum(out[t0, :t0], left, out=left)
+        # diagonal block: row r of ``b`` holds cuts[t0 + r - 1], of ``a`` cuts[t0 + r]
+        b, a = below[:h, :h], above[:h, :h]
+        b[0], b[1:] = low, run[:, None]
+        a[:-1], a[-1] = run[:, None], low
+        np.minimum(b, keep_below[:h, :h], out=b)
+        np.minimum(a, keep_above[:h, :h], out=a)
+        np.maximum.accumulate(b, axis=0, out=b)
+        np.maximum.accumulate(a[::-1], axis=0, out=a[::-1])
+        np.maximum(b, a, out=out[t0:t1, t0:t1])
+    for t0 in reversed(range(0, n, _TILE)):
+        t1 = min(t0 + _TILE, n)
+        if t1 < n:
+            np.maximum(out[t1, t1 + 1:], cuts[t1 - 1], out=out[t1 - 1, t1 + 1:])
+            out[t1 - 1, t1] = cuts[t1 - 1]
+            right = out[t0:t1 - 1, t1:]
+            right[...] = np.maximum.accumulate(cuts[t0:t1 - 1][::-1])[::-1, None]
+            np.maximum(out[t1 - 1, t1:], right, out=right)
     np.fill_diagonal(out, 0)
     return out
 

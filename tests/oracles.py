@@ -82,6 +82,27 @@ def running_max_image(cuts) -> np.ndarray:
     return out
 
 
+def running_max_rows(cuts: np.ndarray) -> np.ndarray:
+    """Running-max matrix of ``cuts`` in their dtype, one vector maximum per row.
+
+    Row t below the diagonal is row t-1 raised to cuts[t-1], and row t
+    above it is row t+1 raised to cuts[t]. NumPy's maximum returns its
+    second operand on equal values, so an entry below the diagonal holds the
+    last largest cut of its range and an entry above it the first, which
+    fixes the sign of every zero.
+    """
+    n = cuts.size + 1
+    out = np.empty((n, n), dtype=cuts.dtype)
+    for t in range(1, n):
+        np.maximum(out[t - 1, :t - 1], cuts[t - 1], out=out[t, :t - 1])
+        out[t, t - 1] = cuts[t - 1]
+    for t in range(n - 2, -1, -1):
+        np.maximum(out[t + 1, t + 2:], cuts[t], out=out[t, t + 2:])
+        out[t, t + 1] = cuts[t]
+    np.fill_diagonal(out, 0)
+    return out
+
+
 def naive_vat_prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """VAT Prim traversal with a masked update and an anchor per candidate.
 

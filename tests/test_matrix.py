@@ -2,16 +2,17 @@
 
 import mmap
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from conivat import ConstraintSet, FeatureMatrix, ccl, euclidean_dissimilarity, hac, render, ssl, vat_reorder
+from conivat import ConstraintSet, FeatureMatrix, VatResult, ccl, euclidean_dissimilarity, hac, render, ssl, vat_reorder
 from conivat import _matrix
 from conivat._matrix import copy_matrix, empty_matrix
 from conivat.clustering import _edit
-from conivat.metric import dissimilarity_under_metric
+from conivat.metric import _TILE, dissimilarity_under_metric
 from oracles import gram_distances
 
 N_MAPPED = int(np.ceil(np.sqrt(_matrix._MAP_BYTES / 8)))  # smallest mapped side, 363
@@ -117,3 +118,36 @@ class TestMappedCallers:
         for m, h in zip(mapped, heap):
             assert np.array_equal(m, h)
         assert d.tobytes() == before.tobytes()  # the callers copy, never write their input
+
+
+def heap_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestHeapPeak:
+    """The mapped matrix is the only n x n block a dense pass allocates."""
+
+    def test_distances_finish_tiles_in_fixed_scratch(self):
+        # three tile-sized scratch blocks and NumPy's iteration buffers come
+        # to about half a quarter matrix at this size, an n x n temporary to four
+        n = 5 * _TILE + 1
+        data = points(11, n)
+        a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+        d, peak = heap_peak(dissimilarity_under_metric, data, a)
+        assert mapping(d) is not None
+        assert peak < d.nbytes / 4, peak
+
+    @pytest.mark.parametrize("scale", ["linear", "rank"])
+    def test_render_fills_the_image_in_place(self, scale):
+        n = int(np.ceil(np.sqrt(_matrix._MAP_BYTES))) + 1
+        vat = VatResult(order=np.arange(n), cut_magnitudes=np.random.default_rng(13).random(n - 1))
+        img, peak = heap_peak(render, vat, scale)
+        assert mapping(img.pixels) is not None
+        assert peak < img.pixels.nbytes / 4, peak

@@ -238,6 +238,13 @@ class TestDissimilarityUnderMetric:
         a = random_psd(rng, 3)
         assert np.array_equal(dissimilarity_under_metric(data, a), gram_distances(data.points, a))
 
+    @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1])
+    def test_learned_metric_matches_whole_gram_formula_at_tile_edges(self, iris_norm, n):
+        a, report = learn_metric(iris_norm, sanitize(generate_from_labels(iris_norm, 30, seed=0)))
+        assert report.learned and not np.allclose(a, np.diag(np.diag(a)))
+        data = FeatureMatrix(np.random.default_rng(n).random((n, iris_norm.dim)))
+        assert dissimilarity_under_metric(data, a).tobytes() == gram_distances(data.points, a).tobytes()
+
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(59)
         data = FeatureMatrix(rng.normal(size=(9, 3)))

@@ -1,13 +1,22 @@
-"""The traced benchmark's targets exist in the package.
+"""The traced benchmark's targets exist in the package and see its work.
 
 ``bench/spans.py`` wraps package functions that it looks up by module and
 name. The bench is not part of this suite, so its target table is read
-here with ``ast``, without importing it, and each entry is resolved.
+here with ``ast``, without importing it, and each entry is resolved. The
+dense kernels are timed through the functions that call them, so those
+functions must be the route the work takes.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conivat import VatResult, conivat_pipeline, generate_from_labels, metric, render, vat
+from conivat.rdi import SCALES
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -25,3 +34,34 @@ def test_every_traced_function_resolves():
     assert targets
     for span, module, function in targets:
         assert callable(getattr(importlib.import_module(module), function, None)), (span, module, function)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Swap every reference to ``module.name`` held by a package module for a counting wrapper, as the tracer does."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "conivat" or mod_name.startswith("conivat."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", vat.VARIANTS)
+def test_pipeline_calls_the_traced_distance_function_once(iris_norm, monkeypatch, variant):
+    calls = count_calls(monkeypatch, metric, "dissimilarity_under_metric")
+    conivat_pipeline(iris_norm, generate_from_labels(iris_norm, 30, seed=0), variant=variant)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_render_calls_the_running_max_kernel_once(monkeypatch, scale):
+    calls = count_calls(monkeypatch, vat, "_running_max_matrix")
+    render(VatResult(order=np.arange(5), cut_magnitudes=np.array([1.0, 3.0, 0.0, 2.0])), scale)
+    assert len(calls) == 1

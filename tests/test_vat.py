@@ -32,7 +32,7 @@ from conivat import (
 )
 from conivat import vat as vat_module
 from conivat.clustering import _edit
-from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _vat_traversal, _zero_similar
+from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _running_max_matrix, _vat_traversal, _zero_similar
 from oracles import (
     floyd_warshall_minimax,
     integer_dissimilarity,
@@ -42,6 +42,7 @@ from oracles import (
     random_dissimilarity,
     rank_render,
     running_max_image,
+    running_max_rows,
 )
 
 
@@ -329,6 +330,38 @@ class TestMinimaxTransform:
         d = random_dissimilarity(rng, 20)
         out = minimax_transform(d)
         assert np.allclose(np.sort(vat_reorder(out).cut_magnitudes), kruskal_mst_weights(d), atol=0)
+
+
+class TestRunningMaxMatrix:
+    """The block fill against the row recursion it replaced, byte for byte."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_row_recursion_on_drawn_cuts(self, data):
+        # up to three full blocks and one row, so every path of the block fill runs
+        n = data.draw(
+            st.one_of(st.integers(1, 3 * _TILE + 1), st.sampled_from([_TILE, _TILE + 1, 2 * _TILE + 1, 3 * _TILE + 1])),
+            label="n",
+        )
+        # few values, so many ties and, among floats, long ranges of zeros of both signs
+        pool = data.draw(
+            st.sampled_from([np.array([0, 1], np.uint8), np.array([0, 1, 2, 255], np.uint8), np.array([0.0, -0.0]),
+                             np.array([0.0, -0.0, 1.0]), np.array([0.0, -0.0, 0.5, 1.0, 2.5])]),
+            label="pool",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cuts = pool[rng.integers(0, pool.size, n - 1)]
+        got, want = _running_max_matrix(cuts), running_max_rows(cuts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if n <= 16:
+            assert np.array_equal(got, running_max_image(cuts))
+
+    def test_keeps_the_sign_of_each_zero(self):
+        # below the diagonal the last largest cut of a range, above it the first
+        cuts = np.array([0.0] * _TILE + [-0.0] * (_TILE + 1))
+        got = _running_max_matrix(cuts)
+        assert got.tobytes() == running_max_rows(cuts).tobytes()
+        assert np.signbit(got[-1, 0]) and not np.signbit(got[0, -1])
 
 
 class TestImposeSimilar:
