@@ -21,6 +21,7 @@ from .data import FeatureMatrix, load_csv, normalize_minmax, synth1, synth2
 from .evaluation import (
     DEFAULT_ALGORITHMS,
     SWEEP_COUNTS,
+    _pool_size,
     partition_accuracy,
     run_ablation,
     run_benchmark,
@@ -213,6 +214,25 @@ def _write_report(report, out: Path, filename: str) -> int:
     return 0
 
 
+def _check_drawn_counts(sets, counts, flag: str) -> None:
+    """Reject, before the first run, a constraint count that a protocol run cannot draw.
+
+    Each run draws distinct pairs from a pool of ``_pool_size(n)`` objects.
+    """
+    for count in counts:
+        if count < 0:
+            raise InputError(f"{flag} must be >= 0, got {count}")
+    for name, data in sets:
+        pool = _pool_size(data.n)
+        limit = pool * (pool - 1) // 2
+        for count in counts:
+            if count > limit:
+                raise InputError(
+                    f"{flag} must be <= {limit} for dataset {name!r}, the distinct pairs "
+                    f"in its constraint pool of {pool} objects, got {count}"
+                )
+
+
 def cmd_benchmark(args) -> int:
     sets = _load_datasets(args)
     if not sets:
@@ -222,6 +242,7 @@ def cmd_benchmark(args) -> int:
             raise InputError(f"dataset {name!r} has no labels; benchmark needs ground truth")
     if args.runs < 1:
         raise InputError("--runs must be >= 1")
+    _check_drawn_counts(sets, [args.n_constraints], "--n-constraints")
     report = run_benchmark(dict(sets), DEFAULT_ALGORITHMS, args.n_constraints, args.runs, args.seed, _learn_config(args))
     return _write_report(report, _outdir(args), "benchmark.csv")
 
@@ -232,6 +253,7 @@ def cmd_ablation(args) -> int:
         raise InputError(f"dataset {name!r} has no labels; ablation needs ground truth")
     if args.runs < 1:
         raise InputError("--runs must be >= 1")
+    _check_drawn_counts([(name, data)], [args.n_constraints], "--n-constraints")
     report = run_ablation(data, args.n_constraints, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "ablation.csv")
 
@@ -246,8 +268,9 @@ def cmd_sweep(args) -> int:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError as e:
         raise InputError(f"--counts must be comma-separated integers: {e}") from e
-    if not counts or any(c < 0 for c in counts):
+    if not counts:
         raise InputError("--counts needs at least one non-negative integer")
+    _check_drawn_counts([(name, data)], counts, "--counts")
     report = run_constraint_sweep(data, counts, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "sweep.csv")
 

@@ -6,12 +6,15 @@ a contiguous run of the VAT order (Havens et al., 2009), so every
 single-linkage result here is such a cut: ``cut_mst`` for the pipelines,
 and ``hac(..., "single")`` over a traversal of its own input.
 ``hac`` with complete linkage is the classical agglomerative loop; it
-caches each row's first minimum, so a merge touches only the rows whose
-minimum it can move. ``ccl``/``ssl`` are the constraint-editing baselines
-of Klein et al. (ICML 2002): zero must-link entries and set cannot-link
-entries past the matrix maximum. ``ccl`` then propagates the edits by
-additive shortest paths, which for a metric input need only the constraint
-endpoints as intermediates, and clusters with complete linkage. ``ssl``
+caches each row's first minimum, so a merge, done in place, touches only
+the rows whose minimum it can move, and the labels are resolved once at
+the end. ``ccl``/``ssl`` are the constraint-editing baselines of Klein et
+al. (ICML 2002): zero must-link entries and set cannot-link entries past
+the matrix maximum. ``ccl`` then propagates the edits by additive shortest
+paths, which for a metric input need only the constraint endpoints as
+intermediates, and clusters with complete linkage. The closure keeps only
+the endpoints that no later endpoint at distance 0 dominates, and takes
+each row's minimum over all of them in one pass. ``ssl``
 clusters the edited matrix with single linkage directly, since the
 propagation cannot change single-linkage merge heights. Both validate their
 input once, in the edit, and hand the edited copy straight to the
@@ -28,8 +31,6 @@ import numpy as np
 from ._matrix import copy_matrix
 from .constraints import ConstraintSet
 from .vat import VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
-
-_STRIP = 16384  # entries per row strip of the closure's n x n minimum
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,17 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
     np.fill_diagonal(m, np.inf)
     nbr = np.argmin(m, axis=1)
     low = m[np.arange(n), nbr]
-    labels = np.arange(n)
+    into = np.arange(n)  # the slot each retired slot was folded into
     for _ in range(n - k):
         i = int(np.argmin(low))
         j = int(nbr[i])
         if i > j:
             i, j = j, i
-        m[i] = m[:, i] = np.maximum(m[i], m[j])
-        m[j] = m[:, j] = np.inf
-        m[i, i] = np.inf
-        labels[labels == j] = i
+        # row j is never read again (nbr[j] = -1 keeps it out of ``rows``),
+        # and m[i, i] stays max(inf, .) = inf
+        m[:, i] = np.maximum(m[i], m[j], out=m[i])
+        m[:, j] = np.inf
+        into[j] = i
         low[j], nbr[j] = np.inf, -1  # retired rows never go stale again
         # A row's cache survives unless its minimum sat in column i or j:
         # m is symmetric, so the new m[r, i] is max(m[r, i], m[r, j]) >= low[r],
@@ -143,9 +145,12 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
         stale = (nbr == i) | (nbr == j)
         stale[i] = True
         rows = np.flatnonzero(stale)
-        nbr[rows] = np.argmin(m[rows], axis=1)
-        low[rows] = m[rows, nbr[rows]]
-    _, labels = np.unique(labels, return_inverse=True)
+        sub = m[rows]
+        nbr[rows] = first = np.argmin(sub, axis=1)
+        low[rows] = sub[np.arange(rows.size), first]
+    while (into[into] != into).any():  # pointer jumping to each cluster's lowest member
+        into = into[into]
+    _, labels = np.unique(into, return_inverse=True)
     return Partition(labels=labels, k=k)
 
 
@@ -186,32 +191,37 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
     ``min`` is exact and the sums are the same additions, so the result is
     bit-identical to running the passes one after another. The pivots come
     first, each from its endpoint's starting row and column and the earlier
-    pivots (O(m^2 n) for m endpoints), their sums going to one scratch
-    buffer that the strips reuse. Pass t leaves p_t's own row and
+    pivots (O(m^2 n) for m endpoints). Pass t leaves p_t's own row and
     column unchanged, since e[p_t, p_t] >= 0 makes every candidate there at
     least the entry it would replace, so a pivot is the same whether read
     before its own pass or after it. ``e`` is exactly symmetric, so every
-    C_t is R_t, and the n x n minimum runs over the upper triangle in strips
-    of rows that fit in cache, each strip then mirrored.
+    C_t is R_t.
+
+    Pivot s is dropped when a later pivot t has R_s[p_t] == 0, as for two
+    members of one must-link component or two duplicate points. Its pass
+    adds nothing: the pivot phase gives R_t <= R_s[p_t] + R_s = R_s
+    elementwise, and IEEE addition is monotone, so every candidate
+    R_s[u] + R_s[v] is >= R_t[u] + R_t[v]. The test reads the pivot rows,
+    not the constraint set, so it holds for any edited matrix. The n x n
+    minimum then runs one upper-triangle row at a time: row u takes the
+    minimum over the kept pivots of R[u] + R[u+1:], built in one scratch
+    buffer that the pivot phase also uses, and is mirrored into column u.
     """
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
     ends = sorted({v for pair in cs.similar | cs.dissimilar for v in pair})
     n = e.shape[0]
-    height = max(1, _STRIP // n)
     rows = np.empty((len(ends), n))
-    buf = np.empty((max(len(ends), height), n))
+    buf = np.empty((len(ends), n))
     for t, p in enumerate(ends):
         rows[t] = e[p]
         sums = np.add(rows[:t, p, None], rows[:t], out=buf[:t])
         np.minimum(rows[t], sums.min(axis=0, initial=np.inf), out=rows[t])
-    for a in range(0, n, height):
-        b = min(a + height, n)
-        strip, cand = e[a:b, a:], buf[:b - a, :n - a]
-        for r in rows:
-            np.add(r[a:b, None], r[a:], out=cand)
-            np.minimum(strip, cand, out=strip)
-        e[b:, a:b] = e[a:b, b:].T
+    rows = rows[~np.triu(rows[:, ends] == 0, k=1).any(axis=1)]
+    for u in range(n - 1):
+        cand = np.add(rows[:, u, None], rows[:, u + 1:], out=buf[:len(rows), :n - u - 1])
+        np.minimum(e[u, u + 1:], cand.min(axis=0, initial=np.inf), out=e[u, u + 1:])
+        e[u + 1:, u] = e[u, u + 1:]
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e

@@ -148,9 +148,14 @@ def _run_seeds(master_seed: int, runs: int) -> list[int]:
     return [int(w) for w in np.random.SeedSequence(master_seed).generate_state(runs, dtype=np.uint64)]
 
 
+def _pool_size(n: int) -> int:
+    """Objects in one run's constraint pool: a random half of the ``n`` indices."""
+    return n // 2
+
+
 def _draw_constraints(data: FeatureMatrix, n_constraints: int, run_seed: int) -> ConstraintSet:
     rng = np.random.default_rng(run_seed)
-    pool = rng.choice(data.n, size=data.n // 2, replace=False)
+    pool = rng.choice(data.n, size=_pool_size(data.n), replace=False)
     return sanitize(generate_from_labels(data, n_constraints, seed=rng, pool=pool))
 
 

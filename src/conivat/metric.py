@@ -253,7 +253,8 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
             cols = slice(j, j + _TILE)
             h, w = gd[rows].size, gd[cols].size
             t, s, s_mirror = t_buf[:h, :w], s_buf[:h, :w], m_buf[:h, :w]
-            np.add.outer(gd[rows], gd[cols], out=t)
+            t[...] = gd[cols]
+            t += gd[rows, None]
             np.multiply(g[rows, cols], -2.0, out=s)
             s += t
             np.multiply(g[cols, rows].T, -2.0, out=s_mirror)

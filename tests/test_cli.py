@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conivat import LearnConfig, conivat_pipeline, generate_from_labels, load_csv, load_iris, normalize_minmax
+from conivat import cli
 from conivat.cli import main
 from oracles import linear_render, rank_render, read_pgm, running_max_image
 
@@ -217,6 +218,47 @@ class TestErrorPaths:
             run_cli(command, "--gen", "synth1", "--runs", "1", *flag, "--out", str(tmp_path / "out"))
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def forbid_runs(monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("a protocol run started")
+
+        for name in ("run_benchmark", "run_ablation", "run_constraint_sweep"):
+            monkeypatch.setattr(cli, name, run)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["benchmark", "--gen", "synth2", "--n-constraints", "-3"], "--n-constraints must be >= 0, got -3"),
+        (["ablation", "--gen", "synth2", "--n-constraints", "-1"], "--n-constraints must be >= 0, got -1"),
+        (["sweep", "--gen", "synth1", "--counts", "5,-2"], "--counts must be >= 0, got -2"),
+        (["benchmark", "--gen", "synth2", "--n-constraints", "99999999"],
+         "--n-constraints must be <= 70125 for dataset 'synth2'"),
+        (["ablation", "--gen", "synth1", "--n-constraints", "19901"], "--n-constraints must be <= 19900 for dataset 'synth1'"),
+        (["sweep", "--gen", "synth1", "--counts", "5,19901"], "--counts must be <= 19900 for dataset 'synth1'"),
+    ])
+    def test_undrawable_constraint_count_is_usage_error_before_any_run(self, monkeypatch, argv, message, tmp_path, capsys):
+        # synth2 has 750 objects and synth1 400, so a run's pool holds 375 or 200
+        self.forbid_runs(monkeypatch)
+        assert run_cli(*argv, "--runs", "1", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_bounds_the_count_by_each_dataset(self, monkeypatch, iris_csv, tmp_path, capsys):
+        self.forbid_runs(monkeypatch)
+        code = run_cli("benchmark", "--gen", "synth2", "--data", iris_csv, "--label-column", "species",
+                       "--n-constraints", "2776", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --n-constraints must be <= 2775 for dataset 'iris'")
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--gen", "synth1", "--n-constraints", "19900"],
+        ["ablation", "--gen", "synth1", "--n-constraints", "0"],
+        ["sweep", "--gen", "synth1", "--counts", "0,19900"],
+    ])
+    def test_drawable_constraint_count_reaches_the_run(self, monkeypatch, argv, tmp_path, capsys):
+        self.forbid_runs(monkeypatch)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert "a protocol run started" in capsys.readouterr().err
 
     def test_zero_runs(self, iris_csv, tmp_path):
         assert run_cli("benchmark", "--data", iris_csv, "--label-column", "species",

@@ -309,16 +309,65 @@ class TestCcl:
             assert np.max(np.abs(got - want)) <= 1e-12 * ceiling
             assert all(got[i, j] == got[j, i] == ceiling for i, j in cs.dissimilar)
 
-    @pytest.mark.parametrize("strip", [clustering._STRIP, 40])
-    def test_endpoint_closure_matches_per_endpoint_passes_bit_for_bit(self, monkeypatch, strip):
-        # a 40-entry strip splits these small matrices into many row strips
-        monkeypatch.setattr(clustering, "_STRIP", strip)
+    def test_endpoint_closure_matches_per_endpoint_passes_bit_for_bit(self):
         rng = np.random.default_rng(83)
         for _ in range(40):
             n = int(rng.integers(3, 40))
             d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, int(rng.integers(1, 5))))))
             cs = random_constraints(rng, n)
             assert_closure_matches_per_endpoint_passes(d, cs)
+
+    def test_endpoint_closure_through_must_link_chains_bit_for_bit(self):
+        # Unsanitized chains keep only their consecutive links, so the zeros
+        # that make every member but the last a dominated pivot come from the
+        # pivot phase, not from the edit.
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            n = int(rng.integers(21, 40))
+            d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, 2))))
+            perm = rng.permutation(n).tolist()
+            chains, at = [], 0
+            for _ in range(int(rng.integers(1, 4))):
+                size = int(rng.integers(3, 7))
+                chains.append(perm[at:at + size])
+                at += size
+            similar = {tuple(sorted(p)) for chain in chains for p in zip(chain, chain[1:])}
+            loose = perm[at:]
+            dissimilar = {tuple(sorted((chains[0][0], loose[0]))), tuple(sorted((loose[1], loose[2])))}
+            assert_closure_matches_per_endpoint_passes(d, ConstraintSet(frozenset(similar), frozenset(dissimilar), n))
+
+    def test_endpoint_closure_with_duplicate_points_bit_for_bit(self):
+        # zero entries between duplicates come from no constraint, so they
+        # too make a pivot dominated
+        rng = np.random.default_rng(97)
+        for _ in range(20):
+            n = int(rng.integers(6, 30))
+            x = rng.integers(0, 3, size=(n, 2)).astype(float)
+            d = euclidean_dissimilarity(FeatureMatrix(x))
+            assert (d[~np.eye(n, dtype=bool)] == 0).any()
+            assert_closure_matches_per_endpoint_passes(d, random_constraints(rng, n))
+
+    def test_endpoint_closure_with_unsanitized_contradiction_bit_for_bit(self):
+        # a pair both similar and dissimilar is edited to the ceiling, not 0
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            n = int(rng.integers(5, 30))
+            d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, 3))))
+            a, b, c = rng.choice(n, 3, replace=False).tolist()
+            both = tuple(sorted((a, b)))
+            cs = ConstraintSet(frozenset({both, tuple(sorted((b, c)))}), frozenset({both}), n)
+            edited, ceiling = _edit(d, cs)
+            assert edited[both] == ceiling
+            assert_closure_matches_per_endpoint_passes(d, cs)
+
+    def test_endpoint_closure_without_constraints_is_the_edit(self):
+        rng = np.random.default_rng(103)
+        for n in (1, 2, 7):
+            d = euclidean_dissimilarity(FeatureMatrix(rng.normal(size=(n, 2))))
+            cs = ConstraintSet.empty(n)
+            assert_closure_matches_per_endpoint_passes(d, cs)
+            edited, ceiling = _edit(d, cs)
+            assert _close_through_endpoints(edited.copy(), cs, ceiling).tobytes() == edited.tobytes()
 
     def test_endpoint_closure_matches_per_endpoint_passes_on_edited_synth2(self):
         # all of synth2 and every 6th point, as ssl and ccl see them

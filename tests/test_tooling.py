@@ -15,7 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conivat import VatResult, conivat_pipeline, generate_from_labels, metric, render, vat
+from conivat import (
+    ConstraintSet,
+    VatResult,
+    clustering,
+    conivat_pipeline,
+    euclidean_dissimilarity,
+    generate_from_labels,
+    metric,
+    render,
+    vat,
+)
+from conivat.evaluation import run_algorithm
 from conivat.rdi import SCALES
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -65,3 +76,20 @@ def test_render_calls_the_running_max_kernel_once(monkeypatch, scale):
     calls = count_calls(monkeypatch, vat, "_running_max_matrix")
     render(VatResult(order=np.arange(5), cut_magnitudes=np.array([1.0, 3.0, 0.0, 2.0])), scale)
     assert len(calls) == 1
+
+
+def test_ccl_baseline_makes_one_closure_and_one_merge_loop(iris_norm, monkeypatch):
+    calls = count_calls(monkeypatch, clustering, "ccl")
+    closures = count_calls(monkeypatch, clustering, "_close_through_endpoints")
+    merges = count_calls(monkeypatch, clustering, "_complete_linkage")
+    d = euclidean_dissimilarity(iris_norm)
+    run_algorithm("ccl", iris_norm, d, generate_from_labels(iris_norm, 30, seed=0), 3)
+    assert (len(calls), len(closures), len(merges)) == (1, 1, 1)
+
+
+def test_hac_cl_baseline_runs_through_hac(iris_norm, monkeypatch):
+    calls = count_calls(monkeypatch, clustering, "hac")
+    merges = count_calls(monkeypatch, clustering, "_complete_linkage")
+    d = euclidean_dissimilarity(iris_norm)
+    run_algorithm("hac-cl", iris_norm, d, ConstraintSet.empty(iris_norm.n), 3)
+    assert (len(calls), len(merges)) == (1, 1)
