@@ -124,14 +124,14 @@ def _load_one_dataset(args) -> tuple[str, FeatureMatrix]:
     return sets[0]
 
 
-def _load_constraints(args, data: FeatureMatrix) -> ConstraintSet:
+def _load_constraints(args, name: str, data: FeatureMatrix) -> ConstraintSet:
     if args.constraints is not None:
         try:
             return read_constraints(args.constraints, data.n)
         except (OSError, ValueError) as e:
             raise InputError(str(e)) from e
-    if args.n_constraints < 0:
-        raise InputError("--n-constraints must be >= 0")
+    # an assessment draws its pairs from all n objects
+    _check_drawn_counts([(name, data)], [args.n_constraints], "--n-constraints", pool_size=lambda n: n)
     if data.labels is None:
         if args.n_constraints == 0:
             return ConstraintSet.empty(data.n)
@@ -155,15 +155,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _run_variant(args, data: FeatureMatrix):
-    cs = _load_constraints(args, data) if args.variant != "ivat" else None
+def _run_variant(args, name: str, data: FeatureMatrix):
+    cs = _load_constraints(args, name, data) if args.variant != "ivat" else None
     return conivat_pipeline(normalize_minmax(data), cs, _learn_config(args), variant=args.variant)
 
 
 def cmd_assess(args) -> int:
-    _, data = _load_one_dataset(args)
+    name, data = _load_one_dataset(args)
     out = _outdir(args)
-    vat, report = _run_variant(args, data)
+    vat, report = _run_variant(args, name, data)
     write_pgm(render(vat, scale=args.scale), out / "rdi.pgm")
     with open(out / "cuts.csv", "w", encoding="utf-8") as fh:
         fh.write("position,magnitude\n")
@@ -190,11 +190,11 @@ def cmd_assess(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    _, data = _load_one_dataset(args)
+    name, data = _load_one_dataset(args)
     if not 1 <= args.k <= data.n:
         raise InputError(f"--k must be in [1, {data.n}], got {args.k}")
     out = _outdir(args)
-    vat, _ = _run_variant(args, data)
+    vat, _ = _run_variant(args, name, data)
     part = cut_mst(vat, args.k)
     with open(out / "partition.csv", "w", encoding="utf-8") as fh:
         fh.write("index,label\n")
@@ -214,16 +214,17 @@ def _write_report(report, out: Path, filename: str) -> int:
     return 0
 
 
-def _check_drawn_counts(sets, counts, flag: str) -> None:
-    """Reject, before the first run, a constraint count that a protocol run cannot draw.
+def _check_drawn_counts(sets, counts, flag: str, pool_size=_pool_size) -> None:
+    """Reject, before any draw, a constraint count that cannot be drawn.
 
-    Each run draws distinct pairs from a pool of ``_pool_size(n)`` objects.
+    Each draw takes distinct pairs from a pool of ``pool_size(n)`` objects;
+    a protocol run's pool is ``_pool_size(n)``.
     """
     for count in counts:
         if count < 0:
             raise InputError(f"{flag} must be >= 0, got {count}")
     for name, data in sets:
-        pool = _pool_size(data.n)
+        pool = pool_size(data.n)
         limit = pool * (pool - 1) // 2
         for count in counts:
             if count > limit:

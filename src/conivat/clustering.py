@@ -125,11 +125,12 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
     # first minimum (nbr, low), so argmin(low) then nbr is the row-major
     # first minimum of the whole matrix: the lexicographic tie rule.
     np.fill_diagonal(m, np.inf)
-    nbr = np.argmin(m, axis=1)
+    nbr = m.argmin(axis=1)
     low = m[np.arange(n), nbr]
     into = np.arange(n)  # the slot each retired slot was folded into
+    stale, at_j = np.empty((2, n), dtype=bool)
     for _ in range(n - k):
-        i = int(np.argmin(low))
+        i = int(low.argmin())
         j = int(nbr[i])
         if i > j:
             i, j = j, i
@@ -142,11 +143,12 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
         # A row's cache survives unless its minimum sat in column i or j:
         # m is symmetric, so the new m[r, i] is max(m[r, i], m[r, j]) >= low[r],
         # equal only if the old m[r, i] was, after the first minimum nbr[r].
-        stale = (nbr == i) | (nbr == j)
+        np.equal(nbr, i, out=stale)
+        stale |= np.equal(nbr, j, out=at_j)
         stale[i] = True
-        rows = np.flatnonzero(stale)
+        rows = stale.nonzero()[0]
         sub = m[rows]
-        nbr[rows] = first = np.argmin(sub, axis=1)
+        nbr[rows] = first = sub.argmin(axis=1)
         low[rows] = sub[np.arange(rows.size), first]
     while (into[into] != into).any():  # pointer jumping to each cluster's lowest member
         into = into[into]

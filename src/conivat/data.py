@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 
 import numpy as np
 
@@ -80,13 +81,18 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
     """Load a numeric CSV, returning ``(data, n_dropped)``.
 
     ``label_column`` selects the class column by header name or 0-based
-    index. Rows with missing or unparseable feature cells are dropped;
-    ``n_dropped`` counts them. Raises ``ValueError`` when no usable rows
-    remain or the label column cannot be found, ``OSError`` on unreadable
-    files.
+    index. Blank rows, and rows whose cells are all whitespace, are
+    skipped. A row with a missing, unparseable or non-finite (``nan``,
+    ``inf``, overflowing) feature cell is dropped; ``n_dropped`` counts
+    them. Raises ``ValueError`` when no usable rows remain or the label
+    column cannot be found, ``OSError`` on unreadable files.
+
+    Every feature cell is read as ``float(cell.strip())``, one column at a
+    time. A column in which some cell does not parse is read again cell by
+    cell, that cell becoming NaN, so its row is dropped with the rest.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        rows = [r for r in csv.reader(fh) if any(map(str.strip, r))]
     if not rows:
         raise ValueError(f"{path}: no rows")
 
@@ -110,32 +116,32 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
         if not 0 <= label_idx < arity:
             raise ValueError(f"{path}: label column index {label_idx} out of range for arity {arity}")
 
-    feat_idx = [j for j in range(arity) if j != label_idx]
-    points, raw_labels, dropped = [], [], 0
     for r in rows:
-        cells = [c.strip() for c in r]
-        if len(cells) != arity:
-            raise ValueError(f"{path}: inconsistent row arity (expected {arity}, got {len(cells)})")
-        feats = []
-        ok = True
-        for j in feat_idx:
-            v = _to_float(cells[j])
-            if v is None:
-                ok = False
-                break
-            feats.append(v)
-        if not ok:
-            dropped += 1
-            continue
-        points.append(feats)
-        if label_idx is not None:
-            raw_labels.append(cells[label_idx])
-    if not points:
+        if len(r) != arity:
+            raise ValueError(f"{path}: inconsistent row arity (expected {arity}, got {len(r)})")
+    columns = list(zip(*rows))
+    feat_idx = [j for j in range(arity) if j != label_idx]
+    points = np.empty((len(rows), len(feat_idx)))
+    for k, j in enumerate(feat_idx):
+        points[:, k] = _parse_column(columns[j])
+    keep = np.isfinite(points).all(axis=1)
+    dropped = len(rows) - int(np.count_nonzero(keep))
+    if dropped == len(rows):
         raise ValueError(f"{path}: zero usable rows ({dropped} dropped)")
 
-    labels = _parse_labels(raw_labels) if label_idx is not None else None
+    labels = None
+    if label_idx is not None:
+        labels = _parse_labels([c.strip() for c in compress(columns[label_idx], keep)])
     names = [header[j] for j in feat_idx] if header is not None else None
-    return FeatureMatrix(np.array(points), labels, names), dropped
+    return FeatureMatrix(points[keep], labels, names), dropped
+
+
+def _parse_column(cells) -> np.ndarray:
+    """``float(c.strip())`` for every cell, NaN where that raises."""
+    try:
+        return np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+    except ValueError:
+        return np.array([_to_float(c.strip()) for c in cells], dtype=float)
 
 
 def _is_float(s: str) -> bool:

@@ -220,14 +220,22 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
     distances; computed directly from the Gram matrix G instead, as
     sqrt(max(0, (s + s.T) / 2)) with s_ij = (G_ii + G_jj) - 2 G_ij. Each
     pair of tiles mirrored across the diagonal is finished at once and
-    written back over G, so the n x n Gram matrix is the only one built.
-    The tiles are finished in three scratch blocks allocated once per call:
-    t = G_ii + G_jj is formed once for both sides, each side as
-    (-2 G_ij) + t, the mirror tile read transposed so that both sides are
-    summed in one layout, and the sum is halved as x * 0.5. These are the
-    operations of the formula above, bit for bit: IEEE subtraction is the
-    addition of the negation, scaling by -2 is exact, and x / 2 and x * 0.5
-    are both the correctly rounded value of the same real number.
+    written back over the product, so one n x n matrix is built.
+
+    Every step works on half of the value in the formula. The product is
+    X(-A)X^T = -G exactly, whatever the summation order, because negation
+    commutes with rounding; h_i = G_ii * 0.5. A tile pair is finished in
+    two scratch blocks allocated once per call, in seven passes:
+    t = h_j + h_i (a row fill and a column add), s = -G_ij + t, the mirror
+    side t += -G_ji read transposed out of the product, s += t, max(0, .)
+    and sqrt. Scaling by 2 commutes with rounding, so t, each side and
+    their sum are the correctly rounded halves of G_ii + G_jj, of each
+    (-2 G_ij) + (G_ii + G_jj) and of their sum: the values of the formula,
+    bit for bit. That holds while G_ii/2, t, each side and the sum are
+    zero or at least 2^-1022 in magnitude, where halving is exact. Only
+    Gram entries within about 2^52 of that bound (below about 1e-292) can
+    bring a value under it; such an entry may then differ from the formula
+    in its last bits, and the contract below still holds.
 
     The result passes ``vat.validate_dissimilarity`` unchanged, so the
     package hands it to its kernels without that pass. It is exactly
@@ -235,32 +243,30 @@ def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray
     and its transpose; its diagonal is filled with 0; and max(0, .) before
     the square root keeps it non-negative. It is finite, because the Gram
     diagonal is checked before any tile: |G_ij| <= sqrt(G_ii G_jj) for a PSD
-    A, so s_ij + s_ji, the largest value a tile holds, is at most
-    8 max G_ii. Raises ``ValueError`` when that bound overflows.
+    A, so s_ij + s_ji is at most 8 max G_ii. Raises ``ValueError`` when that
+    bound overflows.
     """
     x = data.points
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.matmul(x @ a, x.T, out=empty_matrix(n))
-        gd = np.diag(g).copy()
+        g = np.matmul(x @ -a, x.T, out=empty_matrix(n))
+        gd = -np.diag(g)
         if not np.isfinite(8.0 * np.abs(gd).max()):
             raise ValueError("squared distances overflow; rescale the features")
+    half = gd * 0.5
     side = min(n, _TILE)
-    t_buf, s_buf, m_buf = (np.empty((side, side)) for _ in range(3))
+    t_buf, s_buf = (np.empty((side, side)) for _ in range(2))
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
         for j in range(i, n, _TILE):
             cols = slice(j, j + _TILE)
-            h, w = gd[rows].size, gd[cols].size
-            t, s, s_mirror = t_buf[:h, :w], s_buf[:h, :w], m_buf[:h, :w]
-            t[...] = gd[cols]
-            t += gd[rows, None]
-            np.multiply(g[rows, cols], -2.0, out=s)
+            h, w = half[rows].size, half[cols].size
+            t, s = t_buf[:h, :w], s_buf[:h, :w]
+            t[...] = half[cols]
+            t += half[rows, None]
+            np.add(g[rows, cols], t, out=s)
+            t += g[cols, rows].T
             s += t
-            np.multiply(g[cols, rows].T, -2.0, out=s_mirror)
-            s_mirror += t
-            s += s_mirror
-            s *= 0.5
             np.maximum(s, 0.0, out=s)
             np.sqrt(s, out=s)
             g[rows, cols] = s

@@ -43,7 +43,7 @@ from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclid
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
-_TILE = 128  # side of the symmetry check's tiles and of the running-max fill's row blocks
+_TILE = 128  # side of the symmetry check's tiles and of the row blocks of the seed search and running-max fill
 
 
 def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
@@ -203,8 +203,18 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
 
 
 def _vat_traversal(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_prim`` over a validated or package-built ``d``, seeded at the row of its maximum."""
-    return _prim(d, int(np.argmax(d)) // d.shape[0])
+    """``_prim`` over a validated or package-built ``d``, seeded at the row of its maximum.
+
+    The seed is ``np.argmax(d) // n``, the first row that holds the maximum
+    M, read from the upper triangle alone: the first of the row maxima
+    taken over the columns from each row's ``_TILE``-row block on, which
+    reductions read in place, without a copy. ``d`` is exactly symmetric,
+    so if r is the first row holding M, at (r, c), then c >= r, since
+    otherwise row c < r would hold M too. So (r, c) is read, and no earlier
+    row holds M anywhere.
+    """
+    tops = [d[r:r + _TILE, r:].max(axis=1) for r in range(0, d.shape[0], _TILE)]
+    return _prim(d, int(np.concatenate(tops).argmax()))
 
 
 def vat_reorder(d: np.ndarray) -> VatResult:

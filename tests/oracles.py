@@ -259,6 +259,69 @@ def full_closure_edit(d: np.ndarray, similar, dissimilar) -> np.ndarray:
     return out
 
 
+def naive_load_csv(path, label_column=None):
+    """``conivat.load_csv`` parsed one row and one cell at a time.
+
+    Same return value, errors and messages: blank rows are skipped, a row
+    whose feature cell is empty, unparseable or non-finite is dropped, and
+    the header rule, label lookup and arity check run in the same order.
+    """
+    import csv
+    import math
+
+    from conivat.data import FeatureMatrix, _parse_labels
+
+    def to_float(s):
+        if not s:
+            return None
+        try:
+            v = float(s)
+        except ValueError:
+            return None
+        return v if math.isfinite(v) else None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    header = None
+    first = [c.strip() for c in rows[0]]
+    if all(to_float(c) is None for c in first):
+        header = first
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: header only, no data rows")
+    arity = len(rows[0])
+    label_idx = None
+    if label_column is not None:
+        if isinstance(label_column, int):
+            label_idx = label_column
+        else:
+            if header is None or label_column not in header:
+                raise ValueError(f"{path}: label column {label_column!r} not found")
+            label_idx = header.index(label_column)
+        if not 0 <= label_idx < arity:
+            raise ValueError(f"{path}: label column index {label_idx} out of range for arity {arity}")
+    feat_idx = [j for j in range(arity) if j != label_idx]
+    points, raw_labels, dropped = [], [], 0
+    for r in rows:
+        cells = [c.strip() for c in r]
+        if len(cells) != arity:
+            raise ValueError(f"{path}: inconsistent row arity (expected {arity}, got {len(cells)})")
+        feats = [to_float(cells[j]) for j in feat_idx]
+        if None in feats:
+            dropped += 1
+            continue
+        points.append(feats)
+        if label_idx is not None:
+            raw_labels.append(cells[label_idx])
+    if not points:
+        raise ValueError(f"{path}: zero usable rows ({dropped} dropped)")
+    labels = _parse_labels(raw_labels) if label_idx is not None else None
+    names = [header[j] for j in feat_idx] if header is not None else None
+    return FeatureMatrix(np.array(points), labels, names), dropped
+
+
 def brute_force_pa(pred, truth) -> float:
     """Maximum match percentage over all one-to-one label-id assignments."""
     p = np.asarray(pred, dtype=int)

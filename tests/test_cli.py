@@ -260,6 +260,26 @@ class TestErrorPaths:
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert "a protocol run started" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["assess", "--gen", "synth1", "--n-constraints", "-1"], "--n-constraints must be >= 0, got -1"),
+        (["cluster", "--gen", "synth1", "--k", "2", "--variant", "mtd_vat", "--n-constraints", "79801"],
+         "--n-constraints must be <= 79800 for dataset 'synth1', the distinct pairs "
+         "in its constraint pool of 400 objects, got 79801"),
+    ])
+    def test_assessment_names_the_flag_in_count_errors(self, argv, message, tmp_path, capsys):
+        # an assessment draws from all of synth1's 400 objects
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_default_count_beyond_a_small_file_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,label\n1,0\n1,0\n2,1\n", encoding="utf-8")
+        assert run_cli("assess", "--data", str(path), "--label-column", "label", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: --n-constraints must be <= 3 for dataset 'dup', the distinct pairs "
+            "in its constraint pool of 3 objects, got 30\n"
+        )
+
     def test_zero_runs(self, iris_csv, tmp_path):
         assert run_cli("benchmark", "--data", iris_csv, "--label-column", "species",
                        "--runs", "0", "--out", str(tmp_path)) == 2

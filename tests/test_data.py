@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conivat import (
     FeatureMatrix,
@@ -12,6 +14,7 @@ from conivat import (
     synth1,
     synth2,
 )
+from oracles import naive_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -108,6 +111,68 @@ class TestLoadCsv:
     def test_unreadable_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "missing.csv")
+
+
+# cells for the differential test: numbers, padded numbers, and every kind
+# of cell the parser must drop or keep as a label
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-5, 5).map(str))
+_PLAIN_CELLS = st.one_of(
+    _NUMBERS,
+    _NUMBERS,  # twice, so that most cells parse and many rows are kept
+    st.sampled_from(["", "abc", "nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999", "1_0", "1e-320", "label", "a b"]),
+)
+_CELLS = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t "]), _PLAIN_CELLS, st.sampled_from(["", "  "])).map("".join),
+    st.sampled_from(['"1,5"', '" 2.5 "', '"x,y"', '"3"']),
+)
+_BLANK_LINES = st.sampled_from(["", "   ", " , ", ",,", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    arity = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.permutations(["a", " b ", "label", "nan"]))[:arity]))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_BLANK_LINES))
+            continue
+        # now and then a row of the wrong arity
+        width = arity + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(_CELLS, min_size=max(width, 1), max_size=max(width, 1)))))
+    label_column = draw(st.one_of(st.none(), st.integers(-1, arity), st.sampled_from(["label", "a", "missing"])))
+    return "\n".join(lines) + "\n", label_column
+
+
+def _load_outcome(load, path, label_column):
+    try:
+        data, dropped = load(path, label_column=label_column)
+    except Exception as e:  # noqa: BLE001 - the error is part of the outcome compared
+        return type(e), str(e)
+    labels = None if data.labels is None else (data.labels.dtype, data.labels.tolist())
+    return data.points.shape, data.points.tobytes(), labels, data.names, dropped
+
+
+class TestLoadCsvAgainstCellParser:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(csv_texts())
+    def test_same_result_or_error_as_the_cell_by_cell_parser(self, tmp_path_factory, drawn):
+        text, label_column = drawn
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _load_outcome(load_csv, path, label_column) == _load_outcome(naive_load_csv, path, label_column)
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("a,b,label\n 1 ,2,x\n\n  ,  \n3,nan,y\n4, 5 ,x\n", "label"),
+        ('"1,5",2\n3,4\n', None),
+        ("1_0,2\n1e999,3\n-0.0,1e-320\n", None),
+        ("7\n8\n", 0),
+        ("1,2\n3\n", 1),
+    ])
+    def test_hand_picked_files(self, tmp_path, text, label_column):
+        path = write(tmp_path, text)
+        assert _load_outcome(load_csv, path, label_column) == _load_outcome(naive_load_csv, path, label_column)
 
 
 class TestNormalizeMinmax:

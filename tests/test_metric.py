@@ -238,12 +238,31 @@ class TestDissimilarityUnderMetric:
         a = random_psd(rng, 3)
         assert np.array_equal(dissimilarity_under_metric(data, a), gram_distances(data.points, a))
 
-    @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1])
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
+    @pytest.mark.parametrize("p", [1, 2, 8, 64])
+    @pytest.mark.parametrize("kind", ["identity", "zero", "rank-1"])
+    def test_matches_whole_gram_formula_byte_for_byte_at_tile_edges(self, n, p, kind):
+        rng = np.random.default_rng([n, p])
+        v = rng.normal(size=(p, 1))
+        a = {"identity": np.eye(p), "zero": np.zeros((p, p)), "rank-1": v @ v.T}[kind]
+        data = FeatureMatrix(rng.normal(size=(n, p)))
+        assert dissimilarity_under_metric(data, a).tobytes() == gram_distances(data.points, a).tobytes()
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
     def test_learned_metric_matches_whole_gram_formula_at_tile_edges(self, iris_norm, n):
         a, report = learn_metric(iris_norm, sanitize(generate_from_labels(iris_norm, 30, seed=0)))
         assert report.learned and not np.allclose(a, np.diag(np.diag(a)))
         data = FeatureMatrix(np.random.default_rng(n).random((n, iris_norm.dim)))
         assert dissimilarity_under_metric(data, a).tobytes() == gram_distances(data.points, a).tobytes()
+
+    def test_subnormal_gram_entries_keep_the_contract(self):
+        # points near 1e-160 put the Gram entries near 1e-320, below the
+        # normal range, where halving may round
+        rng = np.random.default_rng(71)
+        data = FeatureMatrix(1e-160 * rng.normal(size=(2 * _TILE + 3, 3)))
+        d = dissimilarity_under_metric(data, random_psd(rng, 3))
+        assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
+        assert np.all(d >= 0.0) and np.all(np.isfinite(d)) and d.max() > 0.0
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(59)

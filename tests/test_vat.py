@@ -246,6 +246,47 @@ class TestVatReorder:
         assert np.allclose(np.sort(res.cut_magnitudes), kruskal_mst_weights(d), atol=0)
 
 
+class TestSeed:
+    """The traversal's seed, read from the upper triangle, is the row of the row-major first maximum."""
+
+    @staticmethod
+    def assert_seed(d):
+        assert _vat_traversal(d)[0][0] == int(np.argmax(d)) // d.shape[0]
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_on_drawn_tie_heavy_integer_matrices(self, data):
+        n = data.draw(st.one_of(st.integers(1, 3 * _TILE + 5), st.sampled_from([_TILE, _TILE + 1, 3 * _TILE + 5])))
+        # one level gives the all-zero matrix
+        levels = data.draw(st.integers(1, 4), label="levels")
+        d = integer_dissimilarity(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, levels)
+        # a larger value planted in the later half only
+        i, j = (data.draw(st.integers(n // 2, n - 1)) for _ in range(2))
+        if i != j and data.draw(st.booleans(), label="plant"):
+            d[i, j] = d[j, i] = levels
+        self.assert_seed(d)
+
+    @pytest.mark.parametrize("n, levels, entries", [
+        (1, 1, []),
+        (3 * _TILE + 5, 1, []),
+        (3 * _TILE + 5, 3, []),
+        (3 * _TILE + 5, 3, [(3 * _TILE + 4, 3 * _TILE + 2)]),
+        (3 * _TILE + 5, 3, [(2 * _TILE, 2 * _TILE - 1)]),
+        (3 * _TILE + 5, 3, [(3 * _TILE + 1, 3 * _TILE), (2 * _TILE + 7, 3 * _TILE + 4), (_TILE + 3, _TILE + 2)]),
+    ])
+    def test_planted_maxima(self, n, levels, entries):
+        # one level gives the all-zero matrix
+        d = integer_dissimilarity(np.random.default_rng(n), n, levels)
+        for i, j in entries:
+            d[i, j] = d[j, i] = 5.0
+        self.assert_seed(d)
+
+    @pytest.mark.parametrize("seed, n, entry", SKEWED_CASES)
+    def test_skewed_input_seeds_at_the_maximum_of_its_mirror(self, seed, n, entry):
+        skewed = skewed_matrix(seed, n, entry)
+        assert vat_reorder(skewed).order[0] == int(np.argmax(validate_dissimilarity(skewed))) // n
+
+
 def assert_prim_matches_reference(d):
     """``_prim`` from every seed gives the bytes of ``naive_vat_prim``."""
     d = validate_dissimilarity(d)
