@@ -162,8 +162,8 @@ def _run_variant(args, name: str, data: FeatureMatrix):
 
 def cmd_assess(args) -> int:
     name, data = _load_one_dataset(args)
-    out = _outdir(args)
     vat, report = _run_variant(args, name, data)
+    out = _outdir(args)
     write_pgm(render(vat, scale=args.scale), out / "rdi.pgm")
     with open(out / "cuts.csv", "w", encoding="utf-8") as fh:
         fh.write("position,magnitude\n")
@@ -193,8 +193,8 @@ def cmd_cluster(args) -> int:
     name, data = _load_one_dataset(args)
     if not 1 <= args.k <= data.n:
         raise InputError(f"--k must be in [1, {data.n}], got {args.k}")
-    out = _outdir(args)
     vat, _ = _run_variant(args, name, data)
+    out = _outdir(args)
     part = cut_mst(vat, args.k)
     with open(out / "partition.csv", "w", encoding="utf-8") as fh:
         fh.write("index,label\n")

@@ -60,18 +60,23 @@ class FeatureMatrix:
         return int(np.unique(self.labels).size)
 
 
-def _parse_labels(raw: list[str]) -> np.ndarray:
-    """Map raw label cells to integer ids >= 0.
+def _parse_labels(raw: list[str], path) -> np.ndarray:
+    """Map raw label cells of the file ``path`` to integer ids >= 0.
 
     Integral numeric labels are used as-is; anything else is factorized by
-    sorted unique value so the mapping is deterministic.
+    sorted unique value so the mapping is deterministic. Raises
+    ``ValueError`` naming ``path`` when an integral label does not fit a
+    64-bit integer.
     """
     try:
         vals = [float(s) for s in raw]
-        if all(v.is_integer() and v >= 0 for v in vals):
-            return np.array([int(v) for v in vals], dtype=int)
     except ValueError:
-        pass
+        vals = None
+    if vals is not None and all(v.is_integer() and v >= 0 for v in vals):
+        big = next((s for s, v in zip(raw, vals) if v >= 2.0**63), None)
+        if big is not None:
+            raise ValueError(f"{path}: label {big!r} does not fit a 64-bit integer")
+        return np.array([int(v) for v in vals], dtype=int)
     uniq = sorted(set(raw))
     lut = {s: i for i, s in enumerate(uniq)}
     return np.array([lut[s] for s in raw], dtype=int)
@@ -84,8 +89,9 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
     index. Blank rows, and rows whose cells are all whitespace, are
     skipped. A row with a missing, unparseable or non-finite (``nan``,
     ``inf``, overflowing) feature cell is dropped; ``n_dropped`` counts
-    them. Raises ``ValueError`` when no usable rows remain or the label
-    column cannot be found, ``OSError`` on unreadable files.
+    them. Raises ``ValueError`` when no usable rows remain, the label
+    column cannot be found or an integral label does not fit a 64-bit
+    integer, ``OSError`` on unreadable files.
 
     Every feature cell is read as ``float(cell.strip())``, one column at a
     time. A column in which some cell does not parse is read again cell by
@@ -131,7 +137,7 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
 
     labels = None
     if label_idx is not None:
-        labels = _parse_labels([c.strip() for c in compress(columns[label_idx], keep)])
+        labels = _parse_labels([c.strip() for c in compress(columns[label_idx], keep)], path)
     names = [header[j] for j in feat_idx] if header is not None else None
     return FeatureMatrix(points[keep], labels, names), dropped
 

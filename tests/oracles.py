@@ -317,7 +317,7 @@ def naive_load_csv(path, label_column=None):
             raw_labels.append(cells[label_idx])
     if not points:
         raise ValueError(f"{path}: zero usable rows ({dropped} dropped)")
-    labels = _parse_labels(raw_labels) if label_idx is not None else None
+    labels = _parse_labels(raw_labels, path) if label_idx is not None else None
     names = [header[j] for j in feat_idx] if header is not None else None
     return FeatureMatrix(np.array(points), labels, names), dropped
 

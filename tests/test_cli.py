@@ -200,12 +200,24 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}: feature column 1 'y' spans -1e+308 to 1e+308")
 
-    def test_bad_constraint_line(self, iris_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["assess"], ["cluster", "--k", "3"]], ids=["assess", "cluster"])
+    def test_bad_constraint_line(self, command, iris_csv, tmp_path, capsys):
         cfile = tmp_path / "bad.txt"
         cfile.write_text("S 0 1\nX 2 3\n", encoding="utf-8")
-        code = run_cli("assess", "--data", iris_csv, "--label-column", "species",
-                       "--constraints", str(cfile), "--out", str(tmp_path))
+        code = run_cli(*command, "--data", iris_csv, "--label-column", "species",
+                       "--constraints", str(cfile), "--out", str(tmp_path / "out"))
         assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["assess"], ["cluster", "--k", "2"]], ids=["assess", "cluster"])
+    def test_label_beyond_int64_is_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("x,label\n1,1e300\n2,0\n3,1\n", encoding="utf-8")
+        code = run_cli(*command, "--data", str(path), "--label-column", "label", "--variant", "ivat",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: label '1e300' does not fit a 64-bit integer\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("benchmark", ["--constraints", "c.txt"]),
@@ -262,23 +274,30 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, message", [
         (["assess", "--gen", "synth1", "--n-constraints", "-1"], "--n-constraints must be >= 0, got -1"),
+        (["cluster", "--gen", "synth1", "--k", "2", "--n-constraints", "-4"], "--n-constraints must be >= 0, got -4"),
+        (["assess", "--gen", "synth1", "--variant", "metric_ivat", "--n-constraints", "79801"],
+         "--n-constraints must be <= 79800 for dataset 'synth1', the distinct pairs "
+         "in its constraint pool of 400 objects, got 79801"),
         (["cluster", "--gen", "synth1", "--k", "2", "--variant", "mtd_vat", "--n-constraints", "79801"],
          "--n-constraints must be <= 79800 for dataset 'synth1', the distinct pairs "
          "in its constraint pool of 400 objects, got 79801"),
     ])
     def test_assessment_names_the_flag_in_count_errors(self, argv, message, tmp_path, capsys):
         # an assessment draws from all of synth1's 400 objects
-        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
-    def test_default_count_beyond_a_small_file_names_the_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["assess"], ["cluster", "--k", "2"]], ids=["assess", "cluster"])
+    def test_default_count_beyond_a_small_file_names_the_flag(self, command, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("x,label\n1,0\n1,0\n2,1\n", encoding="utf-8")
-        assert run_cli("assess", "--data", str(path), "--label-column", "label", "--out", str(tmp_path)) == 2
+        assert run_cli(*command, "--data", str(path), "--label-column", "label", "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == (
             "error: --n-constraints must be <= 3 for dataset 'dup', the distinct pairs "
             "in its constraint pool of 3 objects, got 30\n"
         )
+        assert not (tmp_path / "out").exists()
 
     def test_zero_runs(self, iris_csv, tmp_path):
         assert run_cli("benchmark", "--data", iris_csv, "--label-column", "species",

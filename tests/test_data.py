@@ -1,5 +1,7 @@
 """Ingestion, normalization, and synthetic-generator contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,13 @@ class TestLoadCsv:
         data, _ = load_csv(write(tmp_path, "1,zebra\n2,apple\n3,zebra\n"), label_column=1)
         assert np.array_equal(data.labels, [1, 0, 1])
 
+    def test_integral_label_beyond_int64_raises_naming_the_file(self, tmp_path):
+        path = write(tmp_path, "1,1e300\n2,0\n3,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: label '1e300' does not fit a 64-bit integer$"):
+            load_csv(path, label_column=1)
+        data, _ = load_csv(write(tmp_path, f"1,{2 ** 62}\n2,0\n"), label_column=1)
+        assert data.labels.tolist() == [2 ** 62, 0]
+
     def test_missing_label_column_raises(self, tmp_path):
         with pytest.raises(ValueError):
             load_csv(write(tmp_path, "a,b\n1,2\n"), label_column="missing")
@@ -169,6 +178,7 @@ class TestLoadCsvAgainstCellParser:
         ("1_0,2\n1e999,3\n-0.0,1e-320\n", None),
         ("7\n8\n", 0),
         ("1,2\n3\n", 1),
+        ("1,1e300\n2,0\n", 1),
     ])
     def test_hand_picked_files(self, tmp_path, text, label_column):
         path = write(tmp_path, text)

@@ -9,6 +9,7 @@ functions must be the route the work takes.
 
 import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -93,3 +94,42 @@ def test_hac_cl_baseline_runs_through_hac(iris_norm, monkeypatch):
     d = euclidean_dissimilarity(iris_norm)
     run_algorithm("hac-cl", iris_norm, d, ConstraintSet.empty(iris_norm.n), 3)
     assert (len(calls), len(merges)) == (1, 1)
+
+
+def load_pairs():
+    """``tools/pairs.py`` as a module, without running it."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT_OPS = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # quartiles 0.9925 and 1.01
+
+
+@pytest.mark.parametrize("change, better, bound, want", [
+    ([p * 0.9 for p in PARENT_OPS], "lower", 0.25, "gain"),
+    ([p * 0.9 for p in PARENT_OPS[:8]] + [1.5, 1.5], "lower", 0.25, "within bound"),  # 8/10 wins
+    ([p - 0.005 for p in PARENT_OPS], "lower", 0.25, "within bound"),  # 10/10 wins, gap inside the IQR
+    ([p * 1.2 for p in PARENT_OPS], "lower", 0.25, "within bound"),
+    ([p * 1.3 for p in PARENT_OPS], "lower", 0.25, "regression"),
+    ([p * 1.3 for p in PARENT_OPS], "higher", 0.25, "gain"),
+    ([p * 0.7 for p in PARENT_OPS], "higher", 0.25, "regression"),
+    (PARENT_OPS, "lower", 0.01, "unresolved"),  # IQR 0.0175 > 0.01 x 1.0
+    ([p - 0.1 for p in PARENT_OPS], "higher", 0.01, "regression"),
+    ([1.0] * 10, "higher", 0.01, "unresolved"),
+])
+def test_pairs_verdict(change, better, bound, want):
+    pairs = load_pairs()
+    assert pairs.verdict(PARENT_OPS, change, better, bound) == want
+
+
+def test_pairs_wins_quartiles_and_a_wide_parent_beaten_by_every_run():
+    pairs = load_pairs()
+    assert pairs.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "lower") == 1  # the tie counts for neither
+    assert pairs.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "higher") == 1
+    assert pairs.quartiles(PARENT_OPS) == pytest.approx((0.9925, 1.0, 1.01))
+    assert pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+    # a parent spread wider than the bound, but every change run reads better
+    assert pairs.verdict([0.0, 0.1, 1.0, 1.0, 1.0], [1.01] * 5, "higher", 0.01) == "within bound"
