@@ -142,6 +142,35 @@ def _load_constraints(args, name: str, data: FeatureMatrix) -> ConstraintSet:
         raise InputError(str(e)) from e
 
 
+def _memory_budget() -> int | None:
+    """Physical memory in bytes, or None where ``sysconf`` does not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _check_memory(sets, bytes_per_entry: int) -> None:
+    """Reject, before any run, a dataset whose n x n matrices cannot fit in physical memory.
+
+    The peak is estimated as ``bytes_per_entry`` * n^2: 8 for ``cluster``
+    (one float matrix), 9 for ``assess`` (plus the 8-bit image) and 16 for
+    the protocols (the Euclidean matrix plus one working copy). A cgroup
+    limit below physical memory is not seen.
+    """
+    budget = _memory_budget()
+    if budget is None:
+        return
+    for name, data in sets:
+        need = bytes_per_entry * data.n ** 2
+        if need > budget:
+            raise InputError(
+                f"dataset {name!r} has {data.n} objects: its n x n matrices need about "
+                f"{need} bytes, more than the {budget} bytes of physical memory"
+            )
+
+
 def _learn_config(args) -> LearnConfig:
     try:
         return LearnConfig(alpha=args.alpha, epsilon=args.epsilon, max_iters=args.max_iters)
@@ -162,6 +191,7 @@ def _run_variant(args, name: str, data: FeatureMatrix):
 
 def cmd_assess(args) -> int:
     name, data = _load_one_dataset(args)
+    _check_memory([(name, data)], 9)
     vat, report = _run_variant(args, name, data)
     out = _outdir(args)
     write_pgm(render(vat, scale=args.scale), out / "rdi.pgm")
@@ -193,6 +223,7 @@ def cmd_cluster(args) -> int:
     name, data = _load_one_dataset(args)
     if not 1 <= args.k <= data.n:
         raise InputError(f"--k must be in [1, {data.n}], got {args.k}")
+    _check_memory([(name, data)], 8)
     vat, _ = _run_variant(args, name, data)
     out = _outdir(args)
     part = cut_mst(vat, args.k)
@@ -244,6 +275,7 @@ def cmd_benchmark(args) -> int:
     if args.runs < 1:
         raise InputError("--runs must be >= 1")
     _check_drawn_counts(sets, [args.n_constraints], "--n-constraints")
+    _check_memory(sets, 16)
     report = run_benchmark(dict(sets), DEFAULT_ALGORITHMS, args.n_constraints, args.runs, args.seed, _learn_config(args))
     return _write_report(report, _outdir(args), "benchmark.csv")
 
@@ -255,6 +287,7 @@ def cmd_ablation(args) -> int:
     if args.runs < 1:
         raise InputError("--runs must be >= 1")
     _check_drawn_counts([(name, data)], [args.n_constraints], "--n-constraints")
+    _check_memory([(name, data)], 16)
     report = run_ablation(data, args.n_constraints, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "ablation.csv")
 
@@ -272,6 +305,7 @@ def cmd_sweep(args) -> int:
     if not counts:
         raise InputError("--counts needs at least one non-negative integer")
     _check_drawn_counts([(name, data)], counts, "--counts")
+    _check_memory([(name, data)], 16)
     report = run_constraint_sweep(data, counts, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "sweep.csv")
 

@@ -6,15 +6,16 @@ a contiguous run of the VAT order (Havens et al., 2009), so every
 single-linkage result here is such a cut: ``cut_mst`` for the pipelines,
 and ``hac(..., "single")`` over a traversal of its own input.
 ``hac`` with complete linkage is the classical agglomerative loop; it
-caches each row's first minimum, so a merge, done in place, touches only
-the rows whose minimum it can move, and the labels are resolved once at
-the end. ``ccl``/``ssl`` are the constraint-editing baselines of Klein et
+caches each row's first minimum and lists, per column, the rows whose
+minimum sits there, so a merge, done in place, recomputes only the rows
+listed under its two columns, and the labels are resolved once at the end.
+``ccl``/``ssl`` are the constraint-editing baselines of Klein et
 al. (ICML 2002): zero must-link entries and set cannot-link entries past
 the matrix maximum. ``ccl`` then propagates the edits by additive shortest
 paths, which for a metric input need only the constraint endpoints as
-intermediates, and clusters with complete linkage. The closure keeps only
-the endpoints that no later endpoint at distance 0 dominates, and takes
-each row's minimum over all of them in one pass. ``ssl``
+intermediates, and clusters with complete linkage. The closure first closes
+the rows of the must-link endpoints through every endpoint; one such row
+per must-link component then closes the whole matrix. ``ssl``
 clusters the edited matrix with single linkage directly, since the
 propagation cannot change single-linkage merge heights. Both validate their
 input once, in the edit, and hand the edited copy straight to the
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._matrix import copy_matrix
 from .constraints import ConstraintSet
-from .vat import VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
+from .vat import _TILE, VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
 
 
 @dataclass(frozen=True)
@@ -123,33 +124,37 @@ def _complete_linkage(m: np.ndarray, k: int) -> Partition:
     # Slot index == representative index; merging folds the larger slot
     # into the smaller so representatives stay minimal. Each row caches its
     # first minimum (nbr, low), so argmin(low) then nbr is the row-major
-    # first minimum of the whole matrix: the lexicographic tie rule.
+    # first minimum of the whole matrix: the lexicographic tie rule. Then
+    # j = nbr[i] > i, since m[j, i] == low[i] makes low[j] that minimum too.
     np.fill_diagonal(m, np.inf)
-    nbr = m.argmin(axis=1)
+    nbr = m.argmin(axis=1).tolist()
     low = m[np.arange(n), nbr]
     into = np.arange(n)  # the slot each retired slot was folded into
-    stale, at_j = np.empty((2, n), dtype=bool)
+    # pointing[c] lists the rows whose cached minimum sits in column c, and
+    # rows retired since; a live row moves to another list only when its
+    # list is read and emptied by a merge
+    pointing = [[] for _ in range(n)]
+    for r, c in enumerate(nbr):
+        pointing[c].append(r)
     for _ in range(n - k):
         i = int(low.argmin())
-        j = int(nbr[i])
-        if i > j:
-            i, j = j, i
-        # row j is never read again (nbr[j] = -1 keeps it out of ``rows``),
-        # and m[i, i] stays max(inf, .) = inf
+        j = nbr[i]
+        # row j is never read again (nbr[j] = -1 keeps it out of every
+        # list's live entries), and m[i, i] stays max(inf, .) = inf
         m[:, i] = np.maximum(m[i], m[j], out=m[i])
         m[:, j] = np.inf
         into[j] = i
-        low[j], nbr[j] = np.inf, -1  # retired rows never go stale again
+        low[j], nbr[j] = np.inf, -1
         # A row's cache survives unless its minimum sat in column i or j:
         # m is symmetric, so the new m[r, i] is max(m[r, i], m[r, j]) >= low[r],
         # equal only if the old m[r, i] was, after the first minimum nbr[r].
-        np.equal(nbr, i, out=stale)
-        stale |= np.equal(nbr, j, out=at_j)
-        stale[i] = True
-        rows = stale.nonzero()[0]
-        sub = m[rows]
-        nbr[rows] = first = sub.argmin(axis=1)
-        low[rows] = sub[np.arange(rows.size), first]
+        # Row i is among them, since nbr[i] was j.
+        stale = [r for r in pointing[i] if nbr[r] == i] + [r for r in pointing[j] if nbr[r] == j]
+        pointing[i], pointing[j] = [], []
+        for r in stale:
+            c = int(m[r].argmin())
+            nbr[r], low[r] = c, m[r, c]
+            pointing[c].append(r)
     while (into[into] != into).any():  # pointer jumping to each cluster's lowest member
         into = into[into]
     _, labels = np.unique(into, return_inverse=True)
@@ -183,35 +188,50 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
 
     A shortest path needs an intermediate outside the constraint endpoints
     only as a single hop between the two ends of a cannot-link pair, so each
-    such pair first takes its best two-hop detour; Floyd-Warshall over the
-    endpoints alone then finishes the closure. The cannot-link barrier is
+    such pair first takes its best two-hop detour; paths through the
+    endpoints alone then finish the closure. The cannot-link barrier is
     restored afterwards, since shortest paths may tunnel around it.
 
-    Floyd-Warshall pass t over endpoint p_t sets e = min(e, C_t[u] + R_t[v])
-    with R_t = e[p_t] and C_t = e[:, p_t] as they stand before the pass, so
-    the closed matrix is min(e, min_t C_t[u] + R_t[v]) over the starting e:
-    ``min`` is exact and the sums are the same additions, so the result is
-    bit-identical to running the passes one after another. The pivots come
-    first, each from its endpoint's starting row and column and the earlier
-    pivots (O(m^2 n) for m endpoints). Pass t leaves p_t's own row and
-    column unchanged, since e[p_t, p_t] >= 0 makes every candidate there at
-    least the entry it would replace, so a pivot is the same whether read
-    before its own pass or after it. ``e`` is exactly symmetric, so every
-    C_t is R_t.
+    The rows of the must-link endpoints are closed first, by Floyd-Warshall
+    over every endpoint. Pass t over endpoint p_t sets e = min(e, C_t[u] +
+    R_t[v]) with R_t = e[p_t] and C_t = e[:, p_t] as they stand before the
+    pass, so the passes end with min(e, min_t C_t[u] + R_t[v]) over the
+    starting e: ``min`` is exact and the sums are the same additions, so
+    the result is bit-identical to running the passes one after another.
+    The pivots come first, each from its endpoint's starting row and the
+    earlier pivots (O(m^2 n) for m endpoints). Pass t leaves p_t's own row
+    and column unchanged, since e[p_t, p_t] >= 0 makes every candidate
+    there at least the entry it would replace, so a pivot is the same
+    whether read before its own pass or after it. ``e`` is exactly
+    symmetric, so every C_t is R_t. Pivot s is dropped when a later pivot t
+    has R_s[p_t] == 0, as for two members of one must-link component or two
+    duplicate points. Its pass adds nothing: the pivot phase gives R_t <=
+    R_s[p_t] + R_s = R_s elementwise, and IEEE addition is monotone, so
+    every candidate R_s[u] + R_s[v] is >= R_t[u] + R_t[v]. The test reads
+    the pivot rows, not the constraint set, so it holds for any edited
+    matrix. Must-link endpoint p then gets its closed row F_p = min(e[p],
+    min_t R_t[p] + R_t), the row those passes end with.
 
-    Pivot s is dropped when a later pivot t has R_s[p_t] == 0, as for two
-    members of one must-link component or two duplicate points. Its pass
-    adds nothing: the pivot phase gives R_t <= R_s[p_t] + R_s = R_s
-    elementwise, and IEEE addition is monotone, so every candidate
-    R_s[u] + R_s[v] is >= R_t[u] + R_t[v]. The test reads the pivot rows,
-    not the constraint set, so it holds for any edited matrix. The n x n
-    minimum then runs one upper-triangle row at a time: row u takes the
-    minimum over the kept pivots of R[u] + R[u+1:], built in one scratch
-    buffer that the pivot phase also uses, and is mirrored into column u.
+    The rest of the matrix needs only those rows. The edited matrix is a
+    metric except for its must-link zeros: a detour is a two-hop path, and
+    a ceiling exceeds every entry of ``d``. So a path shorter than the
+    edited entry between u and v crosses a must-link endpoint p, and is at
+    least F_p[u] + F_p[v]; the closed matrix is min(e, min_p F_p[u] +
+    F_p[v]). The rows must be fully closed: a pivot row holds only the
+    paths through earlier endpoints, and closing through pivots over the
+    must-link endpoints alone misses shorter paths that need a cannot-link
+    endpoint as a stop. Closed rows at distance 0 from each other, as in
+    one must-link component, are equal in exact arithmetic, so row s is
+    dropped when a later row t has F_s[p_t] == 0; one row per component is
+    left. (The tests pin the bits against an oracle that keeps every row.)
+    The minimum over those rows runs one ``_TILE``-square tile at a time,
+    on and above the diagonal, in one tile of scratch; each tile above the
+    diagonal is then copied to its mirror, which no later tile reads.
     """
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
     ends = sorted({v for pair in cs.similar | cs.dissimilar for v in pair})
+    linked = sorted({v for pair in cs.similar for v in pair})
     n = e.shape[0]
     rows = np.empty((len(ends), n))
     buf = np.empty((len(ends), n))
@@ -220,10 +240,20 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
         sums = np.add(rows[:t, p, None], rows[:t], out=buf[:t])
         np.minimum(rows[t], sums.min(axis=0, initial=np.inf), out=rows[t])
     rows = rows[~np.triu(rows[:, ends] == 0, k=1).any(axis=1)]
-    for u in range(n - 1):
-        cand = np.add(rows[:, u, None], rows[:, u + 1:], out=buf[:len(rows), :n - u - 1])
-        np.minimum(e[u, u + 1:], cand.min(axis=0, initial=np.inf), out=e[u, u + 1:])
-        e[u + 1:, u] = e[u, u + 1:]
+    closed = np.empty((len(linked), n))
+    for t, p in enumerate(linked):
+        sums = np.add(rows[:, p, None], rows, out=buf[:len(rows)])
+        np.minimum(e[p], sums.min(axis=0, initial=np.inf), out=closed[t])
+    closed = closed[~np.triu(closed[:, linked] == 0, k=1).any(axis=1)]
+    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
+    for a in range(0, n, _TILE):
+        for b in range(a, n, _TILE):
+            tile = e[a:a + _TILE, b:b + _TILE]
+            sums = scratch[:tile.shape[0], :tile.shape[1]]
+            for f in closed:
+                np.minimum(tile, np.add(f[a:a + _TILE, None], f[b:b + _TILE], out=sums), out=tile)
+            if b > a:
+                e[b:b + _TILE, a:a + _TILE] = tile.T
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e
@@ -237,7 +267,11 @@ def ccl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     are then put back at the ceiling. ``d`` must obey the triangle
     inequality (Euclidean distances do): the closure runs only through
     constraint endpoints, which equals the full all-pairs closure for a
-    metric input and may miss shorter paths otherwise.
+    metric input and may miss shorter paths otherwise. It closes the row of
+    each must-link endpoint through every endpoint, cannot-link ones
+    included, since a shortest path may stop at them; one closed row per
+    must-link component then closes every other entry, because a path
+    shorter than an edited entry must cross a must-link zero.
     """
     e, ceiling = _edit(d, cs)
     return _complete_linkage(_close_through_endpoints(e, cs, ceiling), k)

@@ -74,10 +74,13 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     symmetric = True
     for a in range(0, n, _TILE):
         for b in range(a, n, _TILE):
-            gap = np.max(np.abs(d[a:a + _TILE, b:b + _TILE] - d[b:b + _TILE, a:a + _TILE].T))
-            if gap > 1e-12:
+            upper, lower = d[a:a + _TILE, b:b + _TILE], d[b:b + _TILE, a:a + _TILE].T
+            # -0.0 == 0.0, so an equal pair has gap 0: the gap is only needed where they differ
+            if np.array_equal(upper, lower):
+                continue
+            if np.max(np.abs(upper - lower)) > 1e-12:
                 raise ValueError("dissimilarity matrix must be symmetric")
-            symmetric = symmetric and gap == 0
+            symmetric = False
     if symmetric:
         return d
     out = copy_matrix(d)

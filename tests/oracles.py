@@ -163,19 +163,24 @@ def parent_walk_labels(order, parent, cuts, k: int) -> np.ndarray:
     return labels
 
 
-def endpoint_closure_fw(e: np.ndarray, similar, dissimilar, ceiling: float) -> np.ndarray:
-    """Endpoint shortest-path closure of an edited matrix, one full pass per endpoint.
+def component_closure_fw(e: np.ndarray, similar, dissimilar, ceiling: float) -> np.ndarray:
+    """Shortest-path closure of an edited matrix through its must-link endpoints' closed rows.
 
-    Each cannot-link pair first takes its best two-hop detour; then one
-    Floyd-Warshall pass over the whole matrix per constraint endpoint, in
-    increasing index order, and the cannot-link entries go back to the
-    ceiling. Works on a copy.
+    Each cannot-link pair first takes its best two-hop detour. One full
+    Floyd-Warshall pass per constraint endpoint, in increasing index order,
+    then closes every endpoint's row. The detoured matrix takes one more
+    full pass per must-link endpoint p, in increasing index order, whose
+    candidates are F[u] + F[v] with F the closed row of p, and the
+    cannot-link entries go back to the ceiling. Works on copies.
     """
     e = np.array(e, dtype=float)
     for i, j in dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
+    full = e.copy()
     for mid in sorted({v for pair in set(similar) | set(dissimilar) for v in pair}):
-        np.minimum(e, e[:, mid, None] + e[None, mid, :], out=e)
+        np.minimum(full, full[:, mid, None] + full[None, mid, :], out=full)
+    for p in sorted({v for pair in similar for v in pair}):
+        np.minimum(e, full[p][:, None] + full[p][None, :], out=e)
     for i, j in dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,6 +272,44 @@ class TestErrorPaths:
         self.forbid_runs(monkeypatch)
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert "a protocol run started" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, per_entry", [
+        (["assess", "--gen", "synth1"], 9),
+        (["cluster", "--gen", "synth1", "--k", "2"], 8),
+        (["benchmark", "--gen", "synth1", "--runs", "1"], 16),
+        (["ablation", "--gen", "synth1", "--runs", "1"], 16),
+        (["sweep", "--gen", "synth1", "--runs", "1"], 16),
+    ], ids=["assess", "cluster", "benchmark", "ablation", "sweep"])
+    @pytest.mark.parametrize("short", [1, 0], ids=["over", "at"])
+    def test_n_beyond_physical_memory_is_input_error_before_any_run(self, monkeypatch, argv, per_entry, short, tmp_path, capsys):
+        # synth1 has 400 objects; the budget is the estimate, or one byte less
+        def assess(*args, **kwargs):
+            raise AssertionError("an assessment started")
+
+        self.forbid_runs(monkeypatch)
+        monkeypatch.setattr(cli, "conivat_pipeline", assess)
+        need = per_entry * 400 ** 2
+        monkeypatch.setattr(cli, "_memory_budget", lambda: need - short)
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        if short:
+            assert code == 2
+            assert err == (
+                f"error: dataset 'synth1' has 400 objects: its n x n matrices need about {need} bytes, "
+                f"more than the {need - 1} bytes of physical memory\n"
+            )
+        else:
+            assert code == 1
+            assert "started" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_memory_check_where_sysconf_lacks_the_counts(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert cli._memory_budget() is None
+        cli._check_memory([("huge", SimpleNamespace(n=10 ** 9))], 16)
 
     @pytest.mark.parametrize("argv, message", [
         (["assess", "--gen", "synth1", "--n-constraints", "-1"], "--n-constraints must be >= 0, got -1"),

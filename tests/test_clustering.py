@@ -29,7 +29,7 @@ from conivat.evaluation import _draw_constraints, _run_seeds
 from conivat.vat import _TILE, conivat_pipeline
 from oracles import (
     canonical_labels,
-    endpoint_closure_fw,
+    component_closure_fw,
     full_closure_edit,
     is_single_linkage_partition,
     integer_dissimilarity,
@@ -52,17 +52,35 @@ def grid_dissimilarity(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1).astype(float)
 
 
-def random_constraints(rng: np.random.Generator, n: int) -> ConstraintSet:
-    """Sanitized similar/dissimilar pairs drawn uniformly, 1 to n-1 of them."""
+def random_constraints(rng: np.random.Generator, n: int, share: float = 0.5) -> ConstraintSet:
+    """Sanitized pairs drawn uniformly, 1 to n-1 of them, each similar with probability ``share``."""
     count = int(rng.integers(1, n))
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(count)}
-    similar = {p for p in pairs if rng.random() < 0.5}
+    similar = {p for p in pairs if rng.random() < share}
     return sanitize(ConstraintSet(frozenset(similar), frozenset(pairs - similar), n))
+
+
+def swept_closure_input(seed: int, share: float, index: int) -> tuple[np.ndarray, ConstraintSet]:
+    """Input ``index`` at similar share ``share`` of a closure sweep drawn from ``default_rng(seed)``.
+
+    The sweep draws 150 inputs at each share 0.5, 0.2 and 0.05 in turn:
+    n = integers(3, 40) points of integers(1, 5) standard normal features,
+    then ``random_constraints`` at that share.
+    """
+    rng = np.random.default_rng(seed)
+    for at_share in (0.5, 0.2, 0.05):
+        for at in range(150):
+            n = int(rng.integers(3, 40))
+            x = rng.normal(size=(n, int(rng.integers(1, 5))))
+            cs = random_constraints(rng, n, at_share)
+            if (at_share, at) == (share, index):
+                return x, cs
+    raise ValueError(f"no input {index} at share {share}")
 
 
 def assert_closure_matches_per_endpoint_passes(d: np.ndarray, cs: ConstraintSet) -> None:
     edited, ceiling = _edit(d, cs)
-    want = endpoint_closure_fw(edited, cs.similar, cs.dissimilar, ceiling)
+    want = component_closure_fw(edited, cs.similar, cs.dissimilar, ceiling)
     assert _close_through_endpoints(edited, cs, ceiling).tobytes() == want.tobytes()
 
 
@@ -206,6 +224,12 @@ class TestHac:
                 for k in range(1, n + 1):
                     assert np.array_equal(hac(m, k, "complete").labels, naive_hac(ref, k, "complete"))
                     assert is_single_linkage_partition(d, hac(m, k, "single").labels, k)
+        # up to 40 objects with values 0..3: merge sequences long enough for
+        # retired rows to pile up in the complete-linkage loop's column lists
+        for n in (30, 35, 40):
+            d = integer_dissimilarity(rng, n, levels=4)
+            for k in range(1, n + 1):
+                assert np.array_equal(hac(d, k, "complete").labels, naive_hac(d, k, "complete"))
 
     def test_matches_naive_loop_on_edited_synth2(self):
         # every 6th synth2 point, edited as ssl (single) and ccl (complete) see it
@@ -298,11 +322,24 @@ class TestCcl:
 
     def test_endpoint_closure_matches_full_closure_on_euclidean(self):
         rng = np.random.default_rng(41)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(3, 40))
             x = rng.normal(size=(n, int(rng.integers(1, 5))))
+            cases.append((x, random_constraints(rng, n)))
+        # Two 1-D inputs whose shortest paths stop at cannot-link endpoints
+        # that no must-link pair touches. Closing through pivots over the
+        # must-link endpoints alone leaves entries too long there: 2.2774
+        # for 2.0953 at (20, 26) of the second.
+        frozen = [swept_closure_input(1003, 0.5, 48), swept_closure_input(1005, 0.05, 60)]
+        assert [x.shape for x, _ in frozen] == [(34, 1), (28, 1)]
+        # The shortest path 5, 0 ~ 1, 3, 4, 2 (length 2.1) needs endpoints
+        # after the must-link pair's own: closing through that pair's pivot
+        # rows, instead of its fully closed rows, gives 11.9 at (5, 2).
+        line = np.array([[0.0], [10.0], [12.0], [10.5], [11.5], [0.1]])
+        frozen.append((line, sanitize(ConstraintSet(frozenset({(0, 1)}), frozenset({(1, 2), (1, 4), (2, 3)}), 6))))
+        for x, cs in cases + frozen:
             d = euclidean_dissimilarity(FeatureMatrix(x))
-            cs = random_constraints(rng, n)
             edited, ceiling = _edit(d, cs)
             got = _close_through_endpoints(edited, cs, ceiling)
             want = full_closure_edit(d, cs.similar, cs.dissimilar)

@@ -162,6 +162,10 @@ class TestValidateDissimilarity:
         ok = d.copy()
         ok[i, j] += 5e-13
         validate_dissimilarity(ok)
+        # a mirror that differs only in the sign of a zero is equal to it
+        zero = d.copy()
+        zero[i, j], zero[j, i] = 0.0, -0.0
+        assert validate_dissimilarity(zero) is zero
 
     def test_package_matrices_validate_without_a_copy(self, iris_norm):
         # every matrix the package builds is exactly symmetric, so no
