@@ -142,22 +142,53 @@ def _load_constraints(args, name: str, data: FeatureMatrix) -> ConstraintSet:
         raise InputError(str(e)) from e
 
 
+def _read_text(path: str) -> str | None:
+    """The contents of a system file, or None where it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError:
+        return None
+
+
 def _memory_budget() -> int | None:
-    """Physical memory in bytes, or None where ``sysconf`` does not report it."""
+    """The lower of physical memory and this process's cgroup memory limit, in bytes; None where neither is known.
+
+    The cgroup's path in each hierarchy comes from ``/proc/self/cgroup``: v2
+    keeps its limit in ``memory.max``, v1 in the memory controller's
+    ``memory.limit_in_bytes``, both under ``/sys/fs/cgroup``. "max", a file
+    that cannot be read and a value of 2^62 or more (an unlimited v1 group
+    reports 2^63 - 1 rounded down to a page) mean no limit.
+    """
+    budgets = []
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
-        return None
-    return pages * size if pages > 0 and size > 0 else None
+        pages = size = 0
+    if pages > 0 and size > 0:
+        budgets.append(pages * size)
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, group = fields
+        if not controllers:
+            raw = _read_text(f"/sys/fs/cgroup{group.rstrip('/')}/memory.max")
+        elif "memory" in controllers.split(","):
+            raw = _read_text(f"/sys/fs/cgroup/memory{group.rstrip('/')}/memory.limit_in_bytes")
+        else:
+            continue
+        if raw is not None and raw.strip().isdigit() and int(raw) < 2 ** 62:
+            budgets.append(int(raw))
+    return min(budgets, default=None)
 
 
 def _check_memory(sets, bytes_per_entry: int) -> None:
-    """Reject, before any run, a dataset whose n x n matrices cannot fit in physical memory.
+    """Reject, before any run, a dataset whose n x n matrices exceed ``_memory_budget``.
 
-    The peak is estimated as ``bytes_per_entry`` * n^2: 8 for ``cluster``
-    (one float matrix), 9 for ``assess`` (plus the 8-bit image) and 16 for
-    the protocols (the Euclidean matrix plus one working copy). A cgroup
-    limit below physical memory is not seen.
+    The peak is estimated as ``bytes_per_entry`` * n^2: 8 for ``cluster``,
+    ``ablation`` and ``sweep`` (one float matrix at a time), 9 for
+    ``assess`` (plus the 8-bit image) and 16 for ``benchmark`` (the
+    baselines' Euclidean matrix plus one working copy).
     """
     budget = _memory_budget()
     if budget is None:
@@ -167,7 +198,8 @@ def _check_memory(sets, bytes_per_entry: int) -> None:
         if need > budget:
             raise InputError(
                 f"dataset {name!r} has {data.n} objects: its n x n matrices need about "
-                f"{need} bytes, more than the {budget} bytes of physical memory"
+                f"{need} bytes, more than the {budget} bytes of memory available "
+                "(physical memory, or the cgroup limit where lower)"
             )
 
 
@@ -287,7 +319,7 @@ def cmd_ablation(args) -> int:
     if args.runs < 1:
         raise InputError("--runs must be >= 1")
     _check_drawn_counts([(name, data)], [args.n_constraints], "--n-constraints")
-    _check_memory([(name, data)], 16)
+    _check_memory([(name, data)], 8)
     report = run_ablation(data, args.n_constraints, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "ablation.csv")
 
@@ -305,7 +337,7 @@ def cmd_sweep(args) -> int:
     if not counts:
         raise InputError("--counts needs at least one non-negative integer")
     _check_drawn_counts([(name, data)], counts, "--counts")
-    _check_memory([(name, data)], 16)
+    _check_memory([(name, data)], 8)
     report = run_constraint_sweep(data, counts, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "sweep.csv")
 

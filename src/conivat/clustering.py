@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matrix import copy_matrix
 from .constraints import ConstraintSet
 from .vat import _TILE, VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
 
@@ -94,7 +93,7 @@ def _validated_copy(d: np.ndarray) -> np.ndarray:
     ndarray subclass validation returns a base-class view of its memory.
     """
     m = validate_dissimilarity(d)
-    return copy_matrix(m) if np.may_share_memory(m, d) else m
+    return m.copy() if np.may_share_memory(m, d) else m
 
 
 def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:

@@ -22,7 +22,8 @@ from .data import FeatureMatrix, normalize_minmax
 from .metric import LearnConfig, euclidean_dissimilarity
 from .vat import VARIANTS, conivat_pipeline
 
-ALGORITHMS = ("hac-sl", "hac-cl", "ssl", "ccl") + VARIANTS
+BASELINES = ("hac-sl", "hac-cl", "ssl", "ccl")  # the algorithms that read the Euclidean matrix
+ALGORITHMS = BASELINES + VARIANTS
 DEFAULT_ALGORITHMS = ("hac-sl", "hac-cl", "ssl", "ccl", "conivat")
 SWEEP_COUNTS = (5, 10, 20, 30, 50, 80, 100)
 
@@ -32,10 +33,13 @@ def partition_accuracy(pred, truth) -> float:
 
     Predicted and true ids are matched one-to-one by maximum-weight
     assignment on the contingency matrix; ids left unmatched (when cluster
-    counts differ) contribute nothing.
+    counts differ) contribute nothing. Both label arrays must be 1-D,
+    non-empty and of one length.
     """
     p = pred.labels if isinstance(pred, Partition) else np.asarray(pred, dtype=int)
     t = np.asarray(truth, dtype=int)
+    if p.ndim != 1 or t.ndim != 1 or p.size == 0:
+        raise ValueError(f"labels must be non-empty 1-D arrays, got shapes {p.shape} and {t.shape}")
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
     _, p = np.unique(p, return_inverse=True)
@@ -162,12 +166,12 @@ def _draw_constraints(data: FeatureMatrix, n_constraints: int, run_seed: int) ->
 def run_algorithm(
     name: str,
     data: FeatureMatrix,
-    d_euclidean: np.ndarray,
+    d_euclidean: np.ndarray | None,
     cs: ConstraintSet,
     k: int,
     cfg: LearnConfig | None = None,
 ) -> Partition:
-    """Dispatch one named algorithm; pipeline variants cluster via cut_mst."""
+    """Dispatch one named algorithm; pipeline variants cluster via cut_mst and ignore ``d_euclidean``."""
     if name == "hac-sl":
         return hac(d_euclidean, k, "single")
     if name == "hac-cl":
@@ -193,7 +197,8 @@ def run_benchmark(
     """Score every (dataset, algorithm) pair under the shared-run protocol.
 
     All algorithms see the same constraint set within a run, so rows are
-    comparable. k is fixed to the true class count of each dataset.
+    comparable. k is fixed to the true class count of each dataset. The
+    Euclidean matrix is built once per dataset, and only for the baselines.
     """
     for name in algorithms:
         if name not in ALGORITHMS:
@@ -205,7 +210,7 @@ def run_benchmark(
             raise ValueError(f"dataset {ds_name!r} has no labels; benchmark needs ground truth")
         data = normalize_minmax(raw)
         k = data.n_classes
-        d_eucl = euclidean_dissimilarity(data)
+        d_eucl = euclidean_dissimilarity(data) if any(a in BASELINES for a in algorithms) else None
         pa = {a: [] for a in algorithms}
         secs = {a: [] for a in algorithms}
         for rs in seeds:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._matrix import copy_matrix, empty_matrix
 from .constraints import ConstraintSet, sanitize
 from .data import FeatureMatrix
 from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclidean_dissimilarity, learn_metric
@@ -83,7 +82,7 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
             symmetric = False
     if symmetric:
         return d
-    out = copy_matrix(d)
+    out = d.copy()
     np.copyto(out, d.T, where=np.tri(n, k=-1, dtype=bool))
     return out
 
@@ -143,7 +142,7 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    It has the dtype of ``cuts`` and comes from ``empty_matrix``. Its
+    It has the dtype of ``cuts``. Its
     entries are those of the row recursion in which row t below the
     diagonal is row t-1 raised to cuts[t-1], and row t above it is row t+1
     raised to cuts[t]. On equal values NumPy's maximum returns its second
@@ -166,7 +165,7 @@ def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """
     n = cuts.size + 1
     dt = cuts.dtype
-    out = empty_matrix(n, dt)
+    out = np.empty((n, n), dt)
     side = min(n, _TILE)
     low, high = (-np.inf, np.inf) if dt.kind == "f" else (np.iinfo(dt).min, np.iinfo(dt).max)
     # np.minimum against these keeps what lies strictly below (above) the

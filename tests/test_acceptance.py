@@ -31,6 +31,7 @@ from conivat import (
     run_constraint_sweep,
     sanitize,
     synth1,
+    synth2,
     vat_reorder,
 )
 from conivat.cli import main
@@ -74,6 +75,12 @@ def synth1_ablation():
     t0 = time.perf_counter()
     rep = run_ablation(synth1(0), 30, 10, 0, name="synth1")
     return rep, time.perf_counter() - t0
+
+
+def oracle_pa(norm, cs, a, k):
+    """PA of metric ``a`` passed through the package's impose -> minimax -> VAT -> cut steps."""
+    edited = impose_similar(dissimilarity_under_metric(norm, a), cs)
+    return partition_accuracy(cut_mst(vat_reorder(minimax_transform(edited)), k), norm.labels)
 
 
 def test_minimax_vat_and_single_linkage_match_oracles_exactly():
@@ -182,7 +189,7 @@ def test_iris_single_linkage_band_and_constrained_mean(iris_data, iris_bench):
     assert elapsed < 120.0
 
     conivat = rep.row("iris", "conivat")
-    oracle_pa = []
+    oracle_pas = []
     for run_seed in conivat.run_seeds:
         cs = _draw_constraints(norm, conivat.n_constraints, run_seed)
         a, g_opt, m_s = xing_metric_oracle(norm.points, cs.similar, cs.dissimilar)
@@ -197,10 +204,8 @@ def test_iris_single_linkage_band_and_constrained_mean(iris_data, iris_bench):
             f"oracle objective {g_opt:.6f} is below the package learner's on run seed {run_seed}"
         )
 
-        edited = impose_similar(dissimilarity_under_metric(norm, a), cs)
-        part = cut_mst(vat_reorder(minimax_transform(edited)), conivat.k)
-        oracle_pa.append(partition_accuracy(part, iris_data.labels))
-    oracle_mean = float(np.mean(oracle_pa))
+        oracle_pas.append(oracle_pa(norm, cs, a, conivat.k))
+    oracle_mean = float(np.mean(oracle_pas))
 
     assert conivat.mean_pa >= oracle_mean - 1.0, (
         f"constrained mean PA is {conivat.mean_pa:.2f}, more than 1 point below the "
@@ -210,6 +215,34 @@ def test_iris_single_linkage_band_and_constrained_mean(iris_data, iris_bench):
     assert conivat.mean_pa > sl.mean_pa, (
         f"constrained mean PA {conivat.mean_pa:.2f} does not lift single linkage ({sl.mean_pa:.2f})"
     )
+
+
+def test_synth2_constrained_mean_reaches_the_oracle_level():
+    """On synth2 the constrained pipeline's 10-run mean reaches, within 1 point,
+    the level that the exact optimum of the learner's program reaches on the
+    same constraint draws, as on IRIS.
+
+    Plain iVAT scores well above both there (README, Known deviations,
+    "synth2"): the arcs interleave, and no global linear metric unfolds them,
+    so the bound is the oracle's and not iVAT's. The dataset is used as
+    generated.
+    """
+    t0 = time.perf_counter()
+    rep = run_ablation(synth2(0), 30, 10, 0, name="synth2")
+    conivat = rep.row("synth2", "conivat")
+    norm = normalize_minmax(synth2(0))
+    oracle_pas = []
+    for run_seed in conivat.run_seeds:
+        cs = _draw_constraints(norm, conivat.n_constraints, run_seed)
+        a, _, _ = xing_metric_oracle(norm.points, cs.similar, cs.dissimilar)
+        oracle_pas.append(oracle_pa(norm, cs, a, conivat.k))
+    oracle_mean = float(np.mean(oracle_pas))
+    assert conivat.mean_pa >= oracle_mean - 1.0, (
+        f"synth2 constrained mean PA is {conivat.mean_pa:.2f}, more than 1 point below the "
+        f"{oracle_mean:.2f} that the exact optimum of the learner's program reaches on "
+        "the same constraint draws"
+    )
+    assert time.perf_counter() - t0 < 120.0
 
 
 def test_constrained_pipeline_ordering_and_synthetic_margin(iris_bench, synth1_ablation):

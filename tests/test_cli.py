@@ -277,8 +277,8 @@ class TestErrorPaths:
         (["assess", "--gen", "synth1"], 9),
         (["cluster", "--gen", "synth1", "--k", "2"], 8),
         (["benchmark", "--gen", "synth1", "--runs", "1"], 16),
-        (["ablation", "--gen", "synth1", "--runs", "1"], 16),
-        (["sweep", "--gen", "synth1", "--runs", "1"], 16),
+        (["ablation", "--gen", "synth1", "--runs", "1"], 8),
+        (["sweep", "--gen", "synth1", "--runs", "1"], 8),
     ], ids=["assess", "cluster", "benchmark", "ablation", "sweep"])
     @pytest.mark.parametrize("short", [1, 0], ids=["over", "at"])
     def test_n_beyond_physical_memory_is_input_error_before_any_run(self, monkeypatch, argv, per_entry, short, tmp_path, capsys):
@@ -296,7 +296,8 @@ class TestErrorPaths:
             assert code == 2
             assert err == (
                 f"error: dataset 'synth1' has 400 objects: its n x n matrices need about {need} bytes, "
-                f"more than the {need - 1} bytes of physical memory\n"
+                f"more than the {need - 1} bytes of memory available "
+                "(physical memory, or the cgroup limit where lower)\n"
             )
         else:
             assert code == 1
@@ -308,8 +309,32 @@ class TestErrorPaths:
             raise ValueError(f"unrecognized configuration name {name!r}")
 
         monkeypatch.setattr(os, "sysconf", sysconf)
+        monkeypatch.setattr(cli, "_read_text", lambda path: None)
         assert cli._memory_budget() is None
         cli._check_memory([("huge", SimpleNamespace(n=10 ** 9))], 16)
+
+    def test_unreadable_system_file_reads_as_none(self, tmp_path):
+        assert cli._read_text(str(tmp_path / "memory.max")) is None
+
+    PHYSICAL = 4096 * 2 ** 20  # bytes; sysconf reports 2^20 pages of 4096
+
+    @pytest.mark.parametrize("files, budget", [
+        ({"/proc/self/cgroup": "0::/job\n", "/sys/fs/cgroup/job/memory.max": "1073741824\n"}, 2 ** 30),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "max\n"}, PHYSICAL),
+        ({"/proc/self/cgroup": "5:cpu,cpuacct:/a\n4:memory:/job/7\n0::/\n",
+          "/sys/fs/cgroup/cpu,cpuacct/a/memory.limit_in_bytes": "1\n",
+          "/sys/fs/cgroup/memory/job/7/memory.limit_in_bytes": "536870912\n"}, 2 ** 29),
+        ({"/proc/self/cgroup": "4:memory:/\n", "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n"},
+         PHYSICAL),
+        ({"/proc/self/cgroup": "4:memory:/job\n0::/job\n"}, PHYSICAL),
+        ({}, PHYSICAL),
+        ({"/proc/self/cgroup": "0::/big\n", "/sys/fs/cgroup/big/memory.max": str(8 * 2 ** 30)}, PHYSICAL),
+    ], ids=["v2", "v2-max", "v1", "v1-unlimited", "missing-file", "no-proc-file", "above-physical"])
+    def test_budget_is_the_lower_of_physical_memory_and_the_cgroup_limit(self, monkeypatch, files, budget):
+        sizes = {"SC_PHYS_PAGES": 2 ** 20, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        monkeypatch.setattr(cli, "_read_text", files.get)
+        assert cli._memory_budget() == budget
 
     @pytest.mark.parametrize("argv, message", [
         (["assess", "--gen", "synth1", "--n-constraints", "-1"], "--n-constraints must be >= 0, got -1"),

@@ -1,5 +1,7 @@
 """Scoring and benchmark protocols: PA alignment, reports, ablation, sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +12,14 @@ from conivat import (
     euclidean_dissimilarity,
     gen_gaussian_mixture,
     hac,
+    metric,
     normalize_minmax,
     partition_accuracy,
     run_ablation,
     run_benchmark,
     run_constraint_sweep,
 )
+from conivat import vat as vat_module
 from conivat.data import synth1
 from conivat.vat import VARIANTS
 from oracles import brute_force_assignment, brute_force_pa
@@ -124,6 +128,14 @@ class TestPartitionAccuracy:
         with pytest.raises(ValueError):
             partition_accuracy(np.array([0, 1]), np.array([0, 1, 1]))
 
+    @pytest.mark.parametrize("pred, truth, shapes", [
+        ([[0, 1]], [[0, 1]], "(1, 2) and (1, 2)"),
+        ([], [], "(0,) and (0,)"),
+    ], ids=["2-d", "empty"])
+    def test_labels_must_be_non_empty_1d(self, pred, truth, shapes):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            partition_accuracy(pred, truth)
+
 
 class TestRunBenchmark:
     def test_single_run_matches_single_shot(self, iris):
@@ -178,6 +190,19 @@ class TestRunAblation:
     def test_shared_run_seeds_across_variants(self, iris_ablation):
         seeds = {tuple(r.run_seeds) for r in iris_ablation.rows}
         assert len(seeds) == 1
+
+    def test_builds_only_the_variants_distance_matrices(self, iris, monkeypatch):
+        builds = []
+        original = metric.dissimilarity_under_metric
+
+        def counted(data, a):
+            builds.append(data.n)
+            return original(data, a)
+
+        for module in (metric, vat_module):
+            monkeypatch.setattr(module, "dissimilarity_under_metric", counted)
+        run_ablation(iris, 30, runs=1)
+        assert builds == [iris.n] * len(VARIANTS)
 
     def test_synth1_bridge_removal_helps(self):
         rep = run_ablation(synth1(0), 30, 10, 0, name="synth1")

@@ -1,55 +1,86 @@
-"""n x n matrix allocation: NumPy arrays, each taken after one heap trim."""
+"""n x n matrix allocation: NumPy arrays, with one heap trim before each distance matrix."""
 
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conivat import ConstraintSet, FeatureMatrix, VatResult, euclidean_dissimilarity, render, vat_reorder
-from conivat import _matrix
-from conivat._matrix import copy_matrix, empty_matrix
-from conivat.clustering import _edit
+from conivat import (
+    ConstraintSet,
+    FeatureMatrix,
+    VatResult,
+    ccl,
+    euclidean_dissimilarity,
+    hac,
+    metric,
+    render,
+    ssl,
+    validate_dissimilarity,
+    vat_reorder,
+)
+from conivat.clustering import _edit, _validated_copy
 from conivat.metric import _TILE, dissimilarity_under_metric
-from oracles import gram_distances
+from oracles import gram_distances, random_dissimilarity
 
 
 def points(seed: int, n: int) -> FeatureMatrix:
     return FeatureMatrix(np.random.default_rng(seed).normal(size=(n, 3)))
 
 
-class TestEmptyMatrix:
-    def test_heap_trimmed_once_per_call(self, monkeypatch):
+def mirrored_input(d: np.ndarray) -> np.ndarray:
+    """A copy of ``d`` skewed in one entry within the symmetry tolerance, which validation mirrors into a new matrix."""
+    s = d.copy()
+    s[0, 1] += 5e-13
+    return s
+
+
+class TestHeapTrim:
+    def test_one_trim_per_distance_matrix_and_none_elsewhere(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(_matrix, "_TRIM", calls.append)
-        a = empty_matrix(3)
+        monkeypatch.setattr(metric, "_TRIM", calls.append)
+        dissimilarity_under_metric(points(3, 40), np.diag([2.0, 1.0, 0.5]))
         assert calls == [0]
-        b = empty_matrix(400, np.uint8)
+        d = euclidean_dissimilarity(points(4, 400))
         assert calls == [0, 0]
-        a[...] = 1.5
-        copy_matrix(a)
-        assert calls == [0, 0, 0]
-        assert a.shape == (3, 3) and a.dtype == np.float64
-        assert b.shape == (400, 400) and b.dtype == np.uint8
-        assert b.flags.writeable and b.flags.c_contiguous and b.flags.aligned
+        vat = vat_reorder(d)
+        for scale in ("linear", "rank"):
+            render(vat, scale)
+        skewed = mirrored_input(d)
+        assert not np.shares_memory(validate_dissimilarity(skewed), skewed)
+        cs = ConstraintSet(frozenset({(0, 1)}), frozenset({(2, 3)}), 400)
+        ssl(d, cs, 2)
+        ccl(d, cs, 2)
+        hac(d, 2, "complete")
+        assert calls == [0, 0]
 
     def test_no_trim_where_the_c_library_has_none(self, monkeypatch):
-        monkeypatch.setattr(_matrix, "_TRIM", None)
-        a = empty_matrix(400)
-        a[...] = 1.5
-        assert a.shape == (400, 400) and a.sum() == 1.5 * 400 * 400
-        assert copy_matrix(a).tobytes() == a.tobytes()
+        monkeypatch.setattr(metric, "_TRIM", None)
+        data = points(3, 400)
+        a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+        d = dissimilarity_under_metric(data, a)
+        assert d.tobytes() == gram_distances(data.points, a).tobytes()
+        skewed = mirrored_input(d)
+        v = validate_dissimilarity(skewed)
+        assert v[1, 0] == v[0, 1] == skewed[0, 1] and np.array_equal(v[2:], d[2:])
+        e, _ = _edit(d, ConstraintSet(frozenset({(0, 1)}), frozenset(), 400))
+        assert e[0, 1] == e[1, 0] == 0.0 and np.array_equal(e[2:], d[2:])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="malloc_trim is glibc's")
     def test_trim_found_on_linux(self):
-        assert callable(_matrix._heap_trim())
+        assert callable(metric._heap_trim())
+
+    def test_lookup_finds_nothing_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(metric.ctypes, "CDLL", lambda name: SimpleNamespace())
+        assert metric._heap_trim() is None
 
 
-class TestCopyMatrix:
+class TestValidatedCopy:
     @pytest.mark.parametrize("n", [5, 400])
     def test_equal_bytes_no_shared_memory(self, n):
-        d = np.random.default_rng(n).random((n, n))
-        c = copy_matrix(d)
+        d = random_dissimilarity(np.random.default_rng(n), n)
+        c = _validated_copy(d)
         assert c.tobytes() == d.tobytes()
         assert not np.shares_memory(c, d)
 

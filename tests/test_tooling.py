@@ -10,8 +10,10 @@ functions must be the route the work takes.
 import ast
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from conivat import (
     ConstraintSet,
     VatResult,
+    cli,
     clustering,
     conivat_pipeline,
     euclidean_dissimilarity,
@@ -96,13 +99,24 @@ def test_hac_cl_baseline_runs_through_hac(iris_norm, monkeypatch):
     assert (len(calls), len(merges)) == (1, 1)
 
 
-def load_pairs():
-    """``tools/pairs.py`` as a module, without running it."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
-    spec = importlib.util.spec_from_file_location("pairs", path)
+def load_tool(name):
+    """``tools/<name>.py`` as a module, without running it."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_byte_gate_runs_every_subcommand(monkeypatch):
+    # the tool pins BLAS threads in os.environ and puts src/ on sys.path when loaded
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with mock.patch.dict(os.environ):
+        outputs = load_tool("cli_outputs")
+    subcommands = next(a.choices for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    runs = list(outputs.runs())
+    for dataset in outputs.DATASETS:
+        assert {argv[0] for name, _, argv in runs if name == dataset} == set(subcommands), dataset
 
 
 PARENT_OPS = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # quartiles 0.9925 and 1.01
@@ -121,12 +135,12 @@ PARENT_OPS = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # qua
     ([1.0] * 10, "higher", 0.01, "unresolved"),
 ])
 def test_pairs_verdict(change, better, bound, want):
-    pairs = load_pairs()
+    pairs = load_tool("pairs")
     assert pairs.verdict(PARENT_OPS, change, better, bound) == want
 
 
 def test_pairs_wins_quartiles_and_a_wide_parent_beaten_by_every_run():
-    pairs = load_pairs()
+    pairs = load_tool("pairs")
     assert pairs.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "lower") == 1  # the tie counts for neither
     assert pairs.wins([1.0, 2.0, 3.0], [0.5, 2.0, 3.5], "higher") == 1
     assert pairs.quartiles(PARENT_OPS) == pytest.approx((0.9925, 1.0, 1.01))
