@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .clustering import cut_mst, suggest_k
-from .constraints import ConstraintSet, generate_from_labels, read_constraints, sanitize
+from .constraints import ConstraintSet, generate_from_labels, read_constraints
 from .data import FeatureMatrix, load_csv, normalize_minmax, synth1, synth2
 from .evaluation import (
     DEFAULT_ALGORITHMS,
@@ -151,13 +151,15 @@ def _read_text(path: str) -> str | None:
 
 
 def _memory_budget() -> int | None:
-    """The lower of physical memory and this process's cgroup memory limit, in bytes; None where neither is known.
+    """The lowest of physical memory and the cgroup memory limits over this process, in bytes; None where none is known.
 
     The cgroup's path in each hierarchy comes from ``/proc/self/cgroup``: v2
     keeps its limit in ``memory.max``, v1 in the memory controller's
-    ``memory.limit_in_bytes``, both under ``/sys/fs/cgroup``. "max", a file
-    that cannot be read and a value of 2^62 or more (an unlimited v1 group
-    reports 2^63 - 1 rounded down to a page) mean no limit.
+    ``memory.limit_in_bytes``, both under ``/sys/fs/cgroup``. A limit on any
+    group from the process's own up to the root binds it, so every one is
+    read. "max", a file that cannot be read and a value of 2^62 or more (an
+    unlimited v1 group reports 2^63 - 1 rounded down to a page) mean no
+    limit.
     """
     budgets = []
     try:
@@ -172,13 +174,16 @@ def _memory_budget() -> int | None:
             continue
         _, controllers, group = fields
         if not controllers:
-            raw = _read_text(f"/sys/fs/cgroup{group.rstrip('/')}/memory.max")
+            root, name = "/sys/fs/cgroup", "memory.max"
         elif "memory" in controllers.split(","):
-            raw = _read_text(f"/sys/fs/cgroup/memory{group.rstrip('/')}/memory.limit_in_bytes")
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
         else:
             continue
-        if raw is not None and raw.strip().isdigit() and int(raw) < 2 ** 62:
-            budgets.append(int(raw))
+        parts = group.rstrip("/").split("/")
+        for depth in range(1, len(parts) + 1):
+            raw = _read_text(f"{root}{'/'.join(parts[:depth])}/{name}")
+            if raw is not None and raw.strip().isdigit() and int(raw) < 2 ** 62:
+                budgets.append(int(raw))
     return min(budgets, default=None)
 
 

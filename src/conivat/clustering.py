@@ -13,14 +13,15 @@ listed under its two columns, and the labels are resolved once at the end.
 al. (ICML 2002): zero must-link entries and set cannot-link entries past
 the matrix maximum. ``ccl`` then propagates the edits by additive shortest
 paths, which for a metric input need only the constraint endpoints as
-intermediates, and clusters with complete linkage. The closure first closes
-the rows of the must-link endpoints through every endpoint; one such row
-per must-link component then closes the whole matrix. ``ssl``
-clusters the edited matrix with single linkage directly, since the
-propagation cannot change single-linkage merge heights. Both validate their
-input once, in the edit, and hand the edited copy straight to the
-traversal or the merge loop. A matrix is copied at most once: the copy
-validation makes of a skewed input is edited in place.
+intermediates, and clusters with complete linkage. The closure runs
+Floyd-Warshall over the endpoints on their rows alone, each row updated
+only while it is read; the closed rows of the must-link endpoints then
+close the whole matrix, a block of rows at a time. ``ssl`` clusters the
+edited matrix with single linkage directly, since the propagation cannot
+change single-linkage merge heights. Both validate their input once, in
+the edit, and hand the edited copy straight to the traversal or the merge
+loop. A matrix is copied at most once: the copy validation makes of a
+skewed input is edited in place.
 """
 
 from __future__ import annotations
@@ -191,68 +192,59 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
     endpoints alone then finish the closure. The cannot-link barrier is
     restored afterwards, since shortest paths may tunnel around it.
 
-    The rows of the must-link endpoints are closed first, by Floyd-Warshall
-    over every endpoint. Pass t over endpoint p_t sets e = min(e, C_t[u] +
-    R_t[v]) with R_t = e[p_t] and C_t = e[:, p_t] as they stand before the
-    pass, so the passes end with min(e, min_t C_t[u] + R_t[v]) over the
-    starting e: ``min`` is exact and the sums are the same additions, so
-    the result is bit-identical to running the passes one after another.
-    The pivots come first, each from its endpoint's starting row and the
-    earlier pivots (O(m^2 n) for m endpoints). Pass t leaves p_t's own row
-    and column unchanged, since e[p_t, p_t] >= 0 makes every candidate
-    there at least the entry it would replace, so a pivot is the same
-    whether read before its own pass or after it. ``e`` is exactly
-    symmetric, so every C_t is R_t. Pivot s is dropped when a later pivot t
-    has R_s[p_t] == 0, as for two members of one must-link component or two
-    duplicate points. Its pass adds nothing: the pivot phase gives R_t <=
-    R_s[p_t] + R_s = R_s elementwise, and IEEE addition is monotone, so
-    every candidate R_s[u] + R_s[v] is >= R_t[u] + R_t[v]. The test reads
-    the pivot rows, not the constraint set, so it holds for any edited
-    matrix. Must-link endpoint p then gets its closed row F_p = min(e[p],
-    min_t R_t[p] + R_t), the row those passes end with.
+    The detoured matrix is a metric except for its must-link zeros: a detour
+    is a two-hop path, and a ceiling exceeds every entry of ``d``. So a path
+    shorter than the entry between u and v crosses a must-link endpoint p,
+    and is at least F_p[u] + F_p[v], with F_p the row of p closed by
+    Floyd-Warshall over every endpoint; the closed matrix is min(e, min_p
+    F_p[u] + F_p[v]). The rows must be fully closed, since a shortest path
+    may stop at a cannot-link endpoint.
 
-    The rest of the matrix needs only those rows. The edited matrix is a
-    metric except for its must-link zeros: a detour is a two-hop path, and
-    a ceiling exceeds every entry of ``d``. So a path shorter than the
-    edited entry between u and v crosses a must-link endpoint p, and is at
-    least F_p[u] + F_p[v]; the closed matrix is min(e, min_p F_p[u] +
-    F_p[v]). The rows must be fully closed: a pivot row holds only the
-    paths through earlier endpoints, and closing through pivots over the
-    must-link endpoints alone misses shorter paths that need a cannot-link
-    endpoint as a stop. Closed rows at distance 0 from each other, as in
-    one must-link component, are equal in exact arithmetic, so row s is
-    dropped when a later row t has F_s[p_t] == 0; one row per component is
-    left. (The tests pin the bits against an oracle that keeps every row.)
-    The minimum over those rows runs one ``_TILE``-square tile at a time,
-    on and above the diagonal, in one tile of scratch; each tile above the
-    diagonal is then copied to its mirror, which no later tile reads.
+    Floyd-Warshall runs over the endpoints in increasing index, on their
+    rows alone: the pass over endpoint q sets each row r to min(r, r[q] +
+    row q), the additions a pass over the whole matrix makes there, and
+    leaves row q as it is, since e[q, q] >= 0. A row is updated only while
+    it is read: in its own pass, as the pivot, and to the end if it is some
+    F_p. Even F_p is not read if a later endpoint q has e[p, q] == 0 in the
+    detoured matrix. Entries only fall and stay >= 0, so that 0 stays. The
+    pass over p sets row q to min(row q, 0 + row p) <= row p; the passes in
+    between keep it so, since each adds the same pivot row to the smaller
+    entry and IEEE addition is monotone; and the pass over q sets row p to
+    min(row p, 0 + row q), which is row q, after which both rows take the
+    same additions. So F_p is F_q: row p retires after its own pass and row
+    q is kept in its place, or hands on again. Kept rows are stored after
+    the others, so every pass updates a suffix. This is bit for bit where
+    no entry is -0.0 (``euclidean_dissimilarity`` makes none): 0 + -0.0 is
+    +0.0, so otherwise a zero may change sign.
+
+    The finish adds each kept row to itself one block of ``_TILE`` rows at
+    a time, in the scratch the passes used; F[u] + F[v] is F[v] + F[u], so
+    the result stays exactly symmetric.
     """
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
     ends = sorted({v for pair in cs.similar | cs.dissimilar for v in pair})
-    linked = sorted({v for pair in cs.similar for v in pair})
-    n = e.shape[0]
-    rows = np.empty((len(ends), n))
-    buf = np.empty((len(ends), n))
-    for t, p in enumerate(ends):
-        rows[t] = e[p]
-        sums = np.add(rows[:t, p, None], rows[:t], out=buf[:t])
-        np.minimum(rows[t], sums.min(axis=0, initial=np.inf), out=rows[t])
-    rows = rows[~np.triu(rows[:, ends] == 0, k=1).any(axis=1)]
-    closed = np.empty((len(linked), n))
-    for t, p in enumerate(linked):
-        sums = np.add(rows[:, p, None], rows, out=buf[:len(rows)])
-        np.minimum(e[p], sums.min(axis=0, initial=np.inf), out=closed[t])
-    closed = closed[~np.triu(closed[:, linked] == 0, k=1).any(axis=1)]
-    scratch = np.empty((min(n, _TILE), min(n, _TILE)))
+    n, m = e.shape[0], len(ends)
+    linked = {v for pair in cs.similar for v in pair}
+    kept = [p in linked for p in ends]
+    zero = e[np.ix_(ends, ends)] == 0
+    for t in range(m):
+        if kept[t] and zero[t, t + 1:].any():
+            kept[t], kept[t + 1 + zero[t, t + 1:].argmax()] = False, True
+    stored = sorted(range(m), key=kept.__getitem__)
+    slot = np.argsort(stored)
+    rows = e[[ends[t] for t in stored]]
+    buf = np.empty((max(m, min(n, _TILE)), n))  # scratch for both phases
+    first = 0  # rows[:first] have retired
+    for t, q in enumerate(ends):
+        live = rows[first:]
+        np.minimum(live, np.add(live[:, q, None], rows[slot[t]], out=buf[first:m]), out=live)
+        first += not kept[t]
     for a in range(0, n, _TILE):
-        for b in range(a, n, _TILE):
-            tile = e[a:a + _TILE, b:b + _TILE]
-            sums = scratch[:tile.shape[0], :tile.shape[1]]
-            for f in closed:
-                np.minimum(tile, np.add(f[a:a + _TILE, None], f[b:b + _TILE], out=sums), out=tile)
-            if b > a:
-                e[b:b + _TILE, a:a + _TILE] = tile.T
+        block = e[a:a + _TILE]
+        sums = buf[:block.shape[0]]
+        for f in rows[first:]:
+            np.minimum(block, np.add(f[a:a + _TILE, None], f, out=sums), out=block)
     for i, j in cs.dissimilar:
         e[i, j] = e[j, i] = ceiling
     return e
@@ -266,11 +258,13 @@ def ccl(d: np.ndarray, cs: ConstraintSet, k: int) -> Partition:
     are then put back at the ceiling. ``d`` must obey the triangle
     inequality (Euclidean distances do): the closure runs only through
     constraint endpoints, which equals the full all-pairs closure for a
-    metric input and may miss shorter paths otherwise. It closes the row of
-    each must-link endpoint through every endpoint, cannot-link ones
-    included, since a shortest path may stop at them; one closed row per
-    must-link component then closes every other entry, because a path
-    shorter than an edited entry must cross a must-link zero.
+    metric input and may miss shorter paths otherwise. It closes the rows
+    of the endpoints through every endpoint, cannot-link ones included,
+    since a shortest path may stop at them; the closed rows of the
+    must-link endpoints then close every other entry, because a path
+    shorter than an edited entry must cross a must-link zero. A must-link
+    endpoint at distance 0 from a later endpoint hands its row on to it:
+    their closed rows are equal.
     """
     e, ceiling = _edit(d, cs)
     return _complete_linkage(_close_through_endpoints(e, cs, ceiling), k)

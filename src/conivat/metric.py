@@ -27,6 +27,8 @@ distance is plain Euclidean.
 from __future__ import annotations
 
 import ctypes
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,16 +56,23 @@ _TRIM = _heap_trim()
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Optimizer settings; defaults are the standard benchmark protocol."""
+    """Optimizer settings; defaults are the standard benchmark protocol.
+
+    ``alpha`` and ``epsilon`` must be finite and positive, ``max_iters`` a
+    positive integer.
+    """
 
     alpha: float = 0.1
     epsilon: float = 0.001
     max_iters: int = 100
 
     def __post_init__(self):
-        for name in ("alpha", "epsilon", "max_iters"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters > 0):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
 
 
 @dataclass

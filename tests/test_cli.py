@@ -329,7 +329,16 @@ class TestErrorPaths:
         ({"/proc/self/cgroup": "4:memory:/job\n0::/job\n"}, PHYSICAL),
         ({}, PHYSICAL),
         ({"/proc/self/cgroup": "0::/big\n", "/sys/fs/cgroup/big/memory.max": str(8 * 2 ** 30)}, PHYSICAL),
-    ], ids=["v2", "v2-max", "v1", "v1-unlimited", "missing-file", "no-proc-file", "above-physical"])
+        ({"/proc/self/cgroup": "0::/user.slice/job/\n", "/sys/fs/cgroup/user.slice/job/memory.max": "max\n",
+          "/sys/fs/cgroup/user.slice/memory.max": "1073741824\n"}, 2 ** 30),
+        ({"/proc/self/cgroup": "0::/a/b\n", "/sys/fs/cgroup/a/b/memory.max": "536870912\n",
+          "/sys/fs/cgroup/a/memory.max": "1073741824\n"}, 2 ** 29),
+        ({"/proc/self/cgroup": "4:memory:/job/7\n",
+          "/sys/fs/cgroup/memory/job/7/memory.limit_in_bytes": "9223372036854771712\n",
+          "/sys/fs/cgroup/memory/job/memory.limit_in_bytes": "268435456\n",
+          "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n"}, 2 ** 28),
+    ], ids=["v2", "v2-max", "v1", "v1-unlimited", "missing-file", "no-proc-file", "above-physical",
+            "v2-parent", "v2-own-below-parent", "v1-parent"])
     def test_budget_is_the_lower_of_physical_memory_and_the_cgroup_limit(self, monkeypatch, files, budget):
         sizes = {"SC_PHYS_PAGES": 2 ** 20, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
@@ -374,10 +383,12 @@ class TestErrorPaths:
     def test_unlabeled_benchmark(self, unlabeled_csv, tmp_path):
         assert run_cli("benchmark", "--data", unlabeled_csv, "--out", str(tmp_path)) == 2
 
-    def test_negative_alpha(self, iris_csv, tmp_path):
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan", "inf"])
+    def test_negative_alpha(self, alpha, iris_csv, tmp_path, capsys):
         code = run_cli("assess", "--data", iris_csv, "--label-column", "species",
-                       "--alpha", "-0.5", "--out", str(tmp_path))
+                       "--alpha", alpha, "--out", str(tmp_path))
         assert code == 2
+        assert capsys.readouterr().err == f"error: alpha must be finite and positive, got {float(alpha)}\n"
 
     def test_unwritable_out_is_runtime_error(self, iris_csv, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -16,6 +16,7 @@ from conivat import (
     euclidean_dissimilarity,
     gen_gaussian_mixture,
     hac,
+    load_iris,
     normalize_minmax,
     sanitize,
     ssl,
@@ -327,14 +328,15 @@ class TestCcl:
             x = rng.normal(size=(n, int(rng.integers(1, 5))))
             cases.append((x, random_constraints(rng, n)))
         # Two 1-D inputs whose shortest paths stop at cannot-link endpoints
-        # that no must-link pair touches. Closing through pivots over the
-        # must-link endpoints alone leaves entries too long there: 2.2774
-        # for 2.0953 at (20, 26) of the second.
+        # that no must-link pair touches. Floyd-Warshall over the must-link
+        # endpoints alone leaves entries too long there: 2.2774 for 2.0953
+        # at (20, 26) of the second.
         frozen = [swept_closure_input(1003, 0.5, 48), swept_closure_input(1005, 0.05, 60)]
         assert [x.shape for x, _ in frozen] == [(34, 1), (28, 1)]
         # The shortest path 5, 0 ~ 1, 3, 4, 2 (length 2.1) needs endpoints
-        # after the must-link pair's own: closing through that pair's pivot
-        # rows, instead of its fully closed rows, gives 11.9 at (5, 2).
+        # after the must-link pair's own: closing through that pair's rows
+        # as they stand at their own passes, instead of fully closed, gives
+        # 11.9 at (5, 2).
         line = np.array([[0.0], [10.0], [12.0], [10.5], [11.5], [0.1]])
         frozen.append((line, sanitize(ConstraintSet(frozenset({(0, 1)}), frozenset({(1, 2), (1, 4), (2, 3)}), 6))))
         for x, cs in cases + frozen:
@@ -354,9 +356,11 @@ class TestCcl:
             assert_closure_matches_per_endpoint_passes(d, cs)
 
     def test_endpoint_closure_through_must_link_chains_bit_for_bit(self):
-        # Unsanitized chains keep only their consecutive links, so the zeros
-        # that make every member but the last a dominated pivot come from the
-        # pivot phase, not from the edit.
+        # Unsanitized chains keep only their consecutive links, so a member
+        # has zeros in the detoured matrix only at its chain neighbours: rows
+        # are handed on along runs of increasing index, and a member whose
+        # neighbours both come before it keeps a row the closure makes equal
+        # to theirs.
         rng = np.random.default_rng(89)
         for _ in range(40):
             n = int(rng.integers(21, 40))
@@ -374,7 +378,14 @@ class TestCcl:
 
     def test_endpoint_closure_with_duplicate_points_bit_for_bit(self):
         # zero entries between duplicates come from no constraint, so they
-        # too make a pivot dominated
+        # too hand a must-link row on, also to an endpoint that is only
+        # cannot-linked: here row 0 goes to 1 and row 1 to its duplicate 2,
+        # whose row alone then closes (0, 2) to 0
+        d = euclidean_dissimilarity(FeatureMatrix(np.array([[0.0], [10.0], [10.0], [5.0]])))
+        cs = ConstraintSet(frozenset({(0, 1)}), frozenset({(2, 3)}), 4)
+        edited, ceiling = _edit(d, cs)
+        assert _close_through_endpoints(edited, cs, ceiling)[0, 2] == 0
+        assert_closure_matches_per_endpoint_passes(d, cs)
         rng = np.random.default_rng(97)
         for _ in range(20):
             n = int(rng.integers(6, 30))
@@ -405,13 +416,20 @@ class TestCcl:
             edited, ceiling = _edit(d, cs)
             assert _close_through_endpoints(edited.copy(), cs, ceiling).tobytes() == edited.tobytes()
 
-    def test_endpoint_closure_matches_per_endpoint_passes_on_edited_synth2(self):
-        # all of synth2 and every 6th point, as ssl and ccl see them
-        data = normalize_minmax(synth2(0))
-        for sub in (data, FeatureMatrix(data.points[::6], data.labels[::6])):
-            d = euclidean_dissimilarity(sub)
-            for rs in _run_seeds(0, 2):
-                assert_closure_matches_per_endpoint_passes(d, _draw_constraints(sub, 30, rs))
+    @pytest.mark.parametrize("name, step, count", [
+        ("synth2", 1, 30), ("synth2", 6, 30), ("synth2", 1, 100), ("synth2", 1, 300), ("iris", 1, 300),
+    ])
+    def test_endpoint_closure_matches_per_endpoint_passes_on_edited_synth2(self, name, step, count):
+        # every step-th point of the dataset, as ssl and ccl see it. At 100
+        # and 300 constraints synth2 has must-link groups of many members,
+        # whose rows are handed on in long chains, and its 750 points fill
+        # six row blocks of the finish, the last one short; iris has
+        # duplicate points
+        data = normalize_minmax(synth2(0) if name == "synth2" else load_iris())
+        sub = FeatureMatrix(data.points[::step], data.labels[::step])
+        d = euclidean_dissimilarity(sub)
+        for rs in _run_seeds(0, 2):
+            assert_closure_matches_per_endpoint_passes(d, _draw_constraints(sub, count, rs))
 
     def test_cannot_link_barrier_survives_huge_magnitudes(self):
         # at 1e17 the spacing of floats exceeds 1, so max + 1 == max

@@ -192,9 +192,13 @@ class TestLearnMetric:
             assert np.linalg.norm(project_psd(a) - w) <= np.linalg.norm(a - w) + 1e-10
 
     def test_config_validation(self):
-        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0}):
-            with pytest.raises(ValueError):
+        nan, inf = float("nan"), float("inf")
+        for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
+                   {"alpha": nan}, {"alpha": inf}, {"epsilon": nan}, {"epsilon": inf},
+                   {"max_iters": 2.5}, {"max_iters": 2.0}):
+            with pytest.raises(ValueError, match=next(iter(kw))):
                 LearnConfig(**kw)
+        assert LearnConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestXingOracle:

@@ -9,6 +9,8 @@ directory, for each of the bundled iris CSV, ``--gen synth1`` and
 ``--gen synth2``:
 
 * ``benchmark``, ``ablation`` and ``sweep``;
+* ``benchmark --n-constraints 100``, whose ``ccl`` column covers long
+  chains of must-link rows handed on in the endpoint closure;
 * ``assess`` for every variant at both render scales;
 * ``cluster`` for every variant at k = 2, 3, 4 and 5.
 
@@ -59,6 +61,7 @@ def runs():
     for name, source in DATASETS.items():
         for command in ("benchmark", "ablation", "sweep"):
             yield name, command, [command, *source]
+        yield name, "benchmark-c100", ["benchmark", *source, "--n-constraints", "100"]
         for variant in VARIANTS:
             for scale in SCALES:
                 yield name, f"assess-{variant}-{scale}", ["assess", *source, "--variant", variant, "--scale", scale]
