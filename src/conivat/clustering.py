@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet
-from .vat import _TILE, VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
+from .metric import _TILE
+from .vat import VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,15 @@ def cut_mst(vat: VatResult, k: int) -> Partition:
 
 
 def _validated_copy(d: np.ndarray) -> np.ndarray:
-    """``validate_dissimilarity(d)``, copied only if it may share memory with ``d``.
+    """``validate_dissimilarity(d)`` + 0.0, copied only if it may share memory with ``d``.
 
-    The result is safe to overwrite. An ``is`` test would not do: for an
-    ndarray subclass validation returns a base-class view of its memory.
+    The result is safe to overwrite. Adding +0.0 maps every -0.0 to +0.0
+    and leaves all other entries as they are. An ``is`` test would not do:
+    for an ndarray subclass validation returns a base-class view of its
+    memory.
     """
     m = validate_dissimilarity(d)
-    return m.copy() if np.may_share_memory(m, d) else m
+    return m + 0.0 if np.may_share_memory(m, d) else np.add(m, 0.0, out=m)
 
 
 def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
@@ -213,9 +216,8 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
     min(row p, 0 + row q), which is row q, after which both rows take the
     same additions. So F_p is F_q: row p retires after its own pass and row
     q is kept in its place, or hands on again. Kept rows are stored after
-    the others, so every pass updates a suffix. This is bit for bit where
-    no entry is -0.0 (``euclidean_dissimilarity`` makes none): 0 + -0.0 is
-    +0.0, so otherwise a zero may change sign.
+    the others, so every pass updates a suffix. The edit leaves no -0.0,
+    so this is bit for bit.
 
     The finish adds each kept row to itself one block of ``_TILE`` rows at
     a time, in the scratch the passes used; F[u] + F[v] is F[v] + F[u], so

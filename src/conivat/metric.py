@@ -36,7 +36,7 @@ import numpy as np
 from .constraints import ConstraintSet
 from .data import FeatureMatrix
 
-_TILE = 128  # side of the square tiles the distance matrix is finished in
+_TILE = 128  # side of the square tiles of the dense passes here, in vat and in clustering
 _MIN_DIST = 1e-12  # dissimilar pairs closer than this under A add no gradient
 _MAX_PROJECTIONS = 10000  # cap on root-find refinements per projection
 
@@ -238,74 +238,71 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
 def dissimilarity_under_metric(data: FeatureMatrix, a: np.ndarray) -> np.ndarray:
     """All-pairs distance matrix under the PSD quadratic form A, valid by construction.
 
-    Equivalent to mapping points through A^(1/2) and taking Euclidean
-    distances; computed directly from the Gram matrix G instead, as
-    sqrt(max(0, (s + s.T) / 2)) with s_ij = (G_ii + G_jj) - 2 G_ij. Each
-    pair of tiles mirrored across the diagonal is finished at once and
-    written back over the product, so one n x n matrix is built.
+    The distance under A is the Euclidean distance after the map
+    x -> A^(1/2) x. The points are centred first, which leaves every
+    difference unchanged and keeps the squared norms small, and mapped as
+    z = (x - mean) V sqrt(max(lam, 0)) from ``np.linalg.eigh(a)``, which
+    reads the lower triangle of the symmetric A; for A = I that is the
+    identity. The squared distance is then (h_i + h_j) - 2 s_ij with
+    s = z z^T and h its diagonal.
 
-    Every step works on half of the value in the formula. The product is
-    X(-A)X^T = -G exactly, whatever the summation order, because negation
-    commutes with rounding; h_i = G_ii * 0.5. A tile pair is finished in
-    two scratch blocks allocated once per call, in seven passes:
-    t = h_j + h_i (a row fill and a column add), s = -G_ij + t, the mirror
-    side t += -G_ji read transposed out of the product, s += t, max(0, .)
-    and sqrt. Scaling by 2 commutes with rounding, so t, each side and
-    their sum are the correctly rounded halves of G_ii + G_jj, of each
-    (-2 G_ij) + (G_ii + G_jj) and of their sum: the values of the formula,
-    bit for bit. That holds while G_ii/2, t, each side and the sum are
-    zero or at least 2^-1022 in magnitude, where halving is exact. Only
-    Gram entries within about 2^52 of that bound (below about 1e-292) can
-    bring a value under it; such an entry may then differ from the formula
-    in its last bits, and the contract below still holds.
+    s is formed one pair of ``_TILE``-row blocks at a time, upper tiles
+    only, so no n x n product is built. The row blocks run bottom-up: the
+    diagonal tile comes first in each and gives h for its rows, and every
+    tile to its right needs h of rows already done. With OpenBLAS these
+    tile products give the same bytes at any thread count, which the
+    whole n x n product did not.
 
     The result passes ``vat.validate_dissimilarity`` unchanged, so the
     package hands it to its kernels without that pass. It is exactly
-    symmetric, because each pair of mirrored tiles is written from one value
-    and its transpose; its diagonal is filled with 0; and max(0, .) before
-    the square root keeps it non-negative. It is finite, because the Gram
-    diagonal is checked before any tile: |G_ij| <= sqrt(G_ii G_jj) for a PSD
-    A, so s_ij + s_ji is at most 8 max G_ii. Raises ``ValueError`` when that
-    bound overflows.
+    symmetric: off the diagonal a tile is written with its transpose, and
+    on it NumPy's symmetric product and t = h_i + h_j, formed before
+    s = -2s + t, are both symmetric. Its diagonal is 0, since -2h_i + (h_i +
+    h_i) is exactly 0, and max(0, .) before the square root keeps it
+    non-negative. It is finite, because |s_ij| <= sqrt(h_i h_j), so each
+    squared distance is at most 4 max h, checked as each block of h is
+    formed. Raises ``ValueError`` when that bound overflows.
 
     The matrix is allocated right after glibc's ``malloc_trim`` (where the
-    C library has one) returns the heap's free pages to the system. Once
-    glibc has unmapped one large block it serves later blocks of that size
-    from the heap, where freed pages stay resident: a caller that read each
-    assessment's 9 MB PGM back at n = 3000 left such blocks there, and with
-    no trim the peak RSS of its run stepped from 122 to 139 MiB. The peak
-    is reached while this matrix is alive, so the one trim here holds it.
+    C library has one) returns the heap's free pages to the system, with
+    the scratch tiles and h already in place. Once glibc has unmapped one
+    large block it serves later blocks of that size from the heap, where
+    freed pages stay resident: a caller that read each assessment's 9 MB
+    PGM back at n = 3000 left such blocks there, and with no trim the peak
+    RSS of its run stepped from 122 to 139 MiB. The peak is reached while
+    this matrix is alive, so the one trim here holds it.
     """
     x = data.points
     n = x.shape[0]
-    if _TRIM is not None:
-        _TRIM(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.matmul(x @ -a, x.T, out=np.empty((n, n)))
-        gd = -np.diag(g)
-        if not np.isfinite(8.0 * np.abs(gd).max()):
-            raise ValueError("squared distances overflow; rescale the features")
-    half = gd * 0.5
+    vals, vecs = np.linalg.eigh(a)
     side = min(n, _TILE)
-    t_buf, s_buf = (np.empty((side, side)) for _ in range(2))
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(i, n, _TILE):
-            cols = slice(j, j + _TILE)
-            h, w = half[rows].size, half[cols].size
-            t, s = t_buf[:h, :w], s_buf[:h, :w]
-            t[...] = half[cols]
-            t += half[rows, None]
-            np.add(g[rows, cols], t, out=s)
-            t += g[cols, rows].T
-            s += t
-            np.maximum(s, 0.0, out=s)
-            np.sqrt(s, out=s)
-            g[rows, cols] = s
-            g[cols, rows] = s.T
-    np.fill_diagonal(g, 0.0)
-    return g
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (x - x.mean(axis=0)) @ (vecs * np.sqrt(np.maximum(vals, 0.0)))
+        h, s_buf, t_buf = np.empty(n), np.empty((side, side)), np.empty((side, side))
+        if _TRIM is not None:
+            _TRIM(0)
+        out = np.empty((n, n))
+        for i in reversed(range(0, n, _TILE)):
+            rows = slice(i, i + _TILE)
+            for j in range(i, n, _TILE):
+                cols = slice(j, j + _TILE)
+                s, t = s_buf[:len(z[rows]), :len(z[cols])], t_buf[:len(z[rows]), :len(z[cols])]
+                np.matmul(z[rows], z[cols].T, out=s)
+                if j == i:
+                    h[rows] = s.diagonal()
+                    if not np.isfinite(4.0 * h[rows].max()):
+                        raise ValueError("squared distances overflow; rescale the features")
+                t[...] = h[cols]
+                t += h[rows, None]
+                s *= -2.0
+                s += t
+                np.maximum(s, 0.0, out=s)
+                np.sqrt(s, out=s)
+                out[rows, cols] = s
+                out[cols, rows] = s.T
+    return out
 
 
 def euclidean_dissimilarity(data: FeatureMatrix) -> np.ndarray:
+    """All-pairs Euclidean distance matrix: ``dissimilarity_under_metric`` at A = I."""
     return dissimilarity_under_metric(data, np.eye(data.dim))

@@ -37,12 +37,11 @@ import numpy as np
 
 from .constraints import ConstraintSet, sanitize
 from .data import FeatureMatrix
-from .metric import LearnConfig, LearnReport, dissimilarity_under_metric, euclidean_dissimilarity, learn_metric
+from .metric import _TILE, LearnConfig, LearnReport, dissimilarity_under_metric, euclidean_dissimilarity, learn_metric
 
 VARIANTS = ("ivat", "metric_ivat", "mtd_vat", "conivat")
 _METRIC_VARIANTS = frozenset({"metric_ivat", "conivat"})
 _IMPOSE_VARIANTS = frozenset({"mtd_vat", "conivat"})
-_TILE = 128  # side of the symmetry check's tiles and of the row blocks of the seed search and running-max fill
 
 
 def validate_dissimilarity(d: np.ndarray) -> np.ndarray:

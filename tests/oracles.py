@@ -57,13 +57,46 @@ def floyd_warshall_minimax(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_distances(points: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Distances under A from the whole Gram matrix at once, with no tiling."""
-    g = points @ a @ points.T
-    sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-    d = np.sqrt(np.maximum((sq + sq.T) / 2.0, 0.0))
-    np.fill_diagonal(d, 0.0)
-    return d
+def _metric_factor(a: np.ndarray) -> np.ndarray:
+    """R = V sqrt(max(lam, 0)) from ``np.linalg.eigh(a)``, so that R R^T = A for a PSD A."""
+    vals, vecs = np.linalg.eigh(a)
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
+
+
+def difference_distances(points: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Squared distances ||(x_i - x_j) R||^2 under A = R R^T, each pair from its own difference.
+
+    No Gram matrix and no centring: a pair's difference is rounded once,
+    mapped through R and squared. R is the factor the package maps
+    through, so a comparison measures the arithmetic after it.
+    """
+    root = _metric_factor(a)
+    return np.array([np.sum(((points - x) @ root) ** 2, axis=1) for x in points])
+
+
+def difference_distance_bound(points: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Bound on |d_ij^2 - q_ij|, d from ``dissimilarity_under_metric``, q from ``difference_distances``.
+
+    With u = 2^-53, g = p u (gamma_p to first order, the error of a p-term
+    dot product relative to the sum of its absolute terms), c_i the norm of
+    the centred point i and r^2 = ||R||_F^2, let S = (c_i + c_j)^2 r^2.
+    Then to first order in u:
+
+    * centring rounds each coordinate once, and the rounded mean shifts
+      every point alike, so the mapped difference is off by at most
+      (u + g)(c_i + c_j) r, which moves its square by 2(u + g) S;
+    * each entry of the product z z^T is off by g ||z_i|| ||z_j||, so
+      h_i + h_j - 2 s_ij is off by g (||z_i|| + ||z_j||)^2 <= g S;
+    * t = h_i + h_j and -2s + t round once each, 2u S;
+    * the square root, and squaring d here, 3u S;
+    * the oracle's difference, mapping and sum of squares, (2u + 3g) S.
+
+    The sum is (6g + 9u) S; one more u S covers the second-order terms.
+    """
+    p = points.shape[1]
+    c = np.linalg.norm(points - points.mean(axis=0), axis=1)
+    r2 = np.sum(_metric_factor(a) ** 2)
+    return (6 * p + 10) * 2.0**-53 * (c[:, None] + c[None, :]) ** 2 * r2
 
 
 def integer_dissimilarity(rng: np.random.Generator, n: int, levels: int = 3) -> np.ndarray:

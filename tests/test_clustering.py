@@ -386,6 +386,12 @@ class TestCcl:
         edited, ceiling = _edit(d, cs)
         assert _close_through_endpoints(edited, cs, ceiling)[0, 2] == 0
         assert_closure_matches_per_endpoint_passes(d, cs)
+        # an API input may hold -0.0: here the closure wrote -0.0 at (3, 3)
+        # where the oracle has +0.0, until the edit mapped it to +0.0
+        z = -0.0
+        d = np.array([[z, z, 2, 2, 1], [z, z, 2, 1, 1], [2, 2, z, z, z], [2, 1, z, z, 2], [1, 1, z, 2, z]])
+        cs = ConstraintSet(frozenset({(0, 2)}), frozenset({(0, 1), (0, 4), (1, 2), (2, 4), (3, 4)}), 5)
+        assert_closure_matches_per_endpoint_passes(d, cs)
         rng = np.random.default_rng(97)
         for _ in range(20):
             n = int(rng.integers(6, 30))

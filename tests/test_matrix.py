@@ -22,7 +22,7 @@ from conivat import (
 )
 from conivat.clustering import _edit, _validated_copy
 from conivat.metric import _TILE, dissimilarity_under_metric
-from oracles import gram_distances, random_dissimilarity
+from oracles import difference_distance_bound, difference_distances, random_dissimilarity
 
 
 def points(seed: int, n: int) -> FeatureMatrix:
@@ -56,11 +56,12 @@ class TestHeapTrim:
         assert calls == [0, 0]
 
     def test_no_trim_where_the_c_library_has_none(self, monkeypatch):
-        monkeypatch.setattr(metric, "_TRIM", None)
         data = points(3, 400)
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+        trimmed = dissimilarity_under_metric(data, a)
+        monkeypatch.setattr(metric, "_TRIM", None)
         d = dissimilarity_under_metric(data, a)
-        assert d.tobytes() == gram_distances(data.points, a).tobytes()
+        assert d.tobytes() == trimmed.tobytes()
         skewed = mirrored_input(d)
         v = validate_dissimilarity(skewed)
         assert v[1, 0] == v[0, 1] == skewed[0, 1] and np.array_equal(v[2:], d[2:])
@@ -86,11 +87,12 @@ class TestValidatedCopy:
 
 
 class TestCallers:
-    def test_distances_match_the_whole_gram_formula(self):
+    def test_distances_are_symmetric_and_within_the_difference_bound(self):
         data = points(3, 368)
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
         got = dissimilarity_under_metric(data, a)
-        assert got.tobytes() == gram_distances(data.points, a).tobytes()
+        assert got.tobytes() == got.T.tobytes()
+        assert np.all(np.abs(got * got - difference_distances(data.points, a)) <= difference_distance_bound(data.points, a))
 
     def test_rank_image_is_an_n_by_n_uint8_matrix(self):
         img = render(vat_reorder(euclidean_dissimilarity(points(9, 300))), scale="rank")
@@ -117,8 +119,9 @@ class TestHeapPeak:
     """The result is the only n x n block a dense pass allocates."""
 
     def test_distances_finish_tiles_in_fixed_scratch(self):
-        # three tile-sized scratch blocks and NumPy's iteration buffers come
-        # to about half a quarter matrix at this size, an n x n temporary to four
+        # two tile-sized scratch blocks, the mapped points and NumPy's
+        # iteration buffers stay under a quarter matrix at this size, an
+        # n x n temporary comes to four
         n = 5 * _TILE + 1
         data = points(11, n)
         a = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])

@@ -1,5 +1,10 @@
 """Metric learning: objective/gradient numerics, projections, learned distances."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,13 @@ from conivat import (
 )
 from conivat import metric
 from conivat.metric import _TILE, _project_feasible
-from oracles import gram_distances, project_psd_halfspace, psd_clamp_charpoly, xing_metric_oracle
+from oracles import (
+    difference_distance_bound,
+    difference_distances,
+    project_psd_halfspace,
+    psd_clamp_charpoly,
+    xing_metric_oracle,
+)
 
 
 def cs(similar, dissimilar, n) -> ConstraintSet:
@@ -28,6 +39,16 @@ def cs(similar, dissimilar, n) -> ConstraintSet:
 def random_psd(rng: np.random.Generator, p: int, floor: float = 0.1) -> np.ndarray:
     b = rng.normal(size=(p, p))
     return b @ b.T / p + floor * np.eye(p)
+
+
+def assert_distance_contract(data: FeatureMatrix, a: np.ndarray) -> np.ndarray:
+    """The distances under A: exactly symmetric with a +0.0 diagonal, byte for byte, and
+    every squared distance within the derived bound of the difference oracle."""
+    d = dissimilarity_under_metric(data, a)
+    assert d.tobytes() == d.T.tobytes()
+    assert np.diag(d).tobytes() == bytes(d.itemsize * len(d))
+    assert np.all(np.abs(d * d - difference_distances(data.points, a)) <= difference_distance_bound(data.points, a))
+    return d
 
 
 def similar_quadratic_sum(a: np.ndarray, data: FeatureMatrix, c: ConstraintSet) -> float:
@@ -177,7 +198,7 @@ class TestLearnMetric:
         assert report.learned
 
         def ratio(mat):
-            d = gram_distances(iris_norm.points, mat)
+            d = np.sqrt(difference_distances(iris_norm.points, mat))
             return np.mean([d[p] for p in c.similar]) / np.mean([d[p] for p in c.dissimilar])
 
         assert ratio(a) < ratio(np.eye(4))
@@ -235,33 +256,73 @@ class TestDissimilarityUnderMetric:
         want = np.array([[np.linalg.norm(u - v) for v in y] for u in y])
         assert np.allclose(dissimilarity_under_metric(data, a), want, atol=1e-9, rtol=0)
 
-    def test_tiles_match_whole_gram_formula_bit_for_bit(self):
+    def test_tiles_keep_the_contract_within_the_difference_bound(self):
         # 267 rows: two full tiles and a partial one, on and off the diagonal
         rng = np.random.default_rng(67)
         data = FeatureMatrix(rng.normal(size=(2 * _TILE + 11, 3)))
-        a = random_psd(rng, 3)
-        assert np.array_equal(dissimilarity_under_metric(data, a), gram_distances(data.points, a))
+        assert_distance_contract(data, random_psd(rng, 3))
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
     @pytest.mark.parametrize("p", [1, 2, 8, 64])
     @pytest.mark.parametrize("kind", ["identity", "zero", "rank-1"])
-    def test_matches_whole_gram_formula_byte_for_byte_at_tile_edges(self, n, p, kind):
+    def test_contract_within_the_difference_bound_at_tile_edges(self, n, p, kind):
         rng = np.random.default_rng([n, p])
         v = rng.normal(size=(p, 1))
         a = {"identity": np.eye(p), "zero": np.zeros((p, p)), "rank-1": v @ v.T}[kind]
-        data = FeatureMatrix(rng.normal(size=(n, p)))
-        assert dissimilarity_under_metric(data, a).tobytes() == gram_distances(data.points, a).tobytes()
+        assert_distance_contract(FeatureMatrix(rng.normal(size=(n, p))), a)
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
-    def test_learned_metric_matches_whole_gram_formula_at_tile_edges(self, iris_norm, n):
+    def test_learned_metric_contract_within_the_difference_bound_at_tile_edges(self, iris_norm, n):
         a, report = learn_metric(iris_norm, sanitize(generate_from_labels(iris_norm, 30, seed=0)))
         assert report.learned and not np.allclose(a, np.diag(np.diag(a)))
-        data = FeatureMatrix(np.random.default_rng(n).random((n, iris_norm.dim)))
-        assert dissimilarity_under_metric(data, a).tobytes() == gram_distances(data.points, a).tobytes()
+        assert_distance_contract(FeatureMatrix(np.random.default_rng(n).random((n, iris_norm.dim))), a)
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 64])
+    @pytest.mark.parametrize("kind", ["identity", "rank-1", "psd"])
+    def test_duplicates_across_a_tile_boundary_are_at_zero(self, p, kind):
+        # rows i and i + _TILE + 5 are equal and always lie in different tiles
+        rng = np.random.default_rng([7, p])
+        v = rng.normal(size=(p, 1))
+        a = {"identity": np.eye(p), "rank-1": v @ v.T, "psd": random_psd(rng, p)}[kind]
+        x = rng.normal(size=(_TILE + 5, p))
+        d = assert_distance_contract(FeatureMatrix(np.vstack([x, x])), a)
+        m = np.arange(len(x))
+        assert not d[m, m + len(x)].any()
+
+    def test_iris_duplicates_are_at_zero_under_a_learned_metric(self, iris_norm):
+        # iris repeats some rows, and here every row twice more
+        a, _ = learn_metric(iris_norm, sanitize(generate_from_labels(iris_norm, 30, seed=0)))
+        x = np.vstack([iris_norm.points] * 3)
+        d = assert_distance_contract(FeatureMatrix(x), a)
+        assert not d[(x[:, None, :] == x[None, :, :]).all(axis=2)].any()
+
+    def test_no_cancellation_far_from_the_origin(self):
+        # squared norms near 1e6 would swamp squared distances below 1e-12;
+        # centring keeps every distance away from 0
+        x = 1e3 + np.random.default_rng(3).uniform(0.0, 1e-6, size=(40, 2))
+        d = assert_distance_contract(FeatureMatrix(x), np.eye(2))
+        assert np.all(d[~np.eye(40, dtype=bool)] > 0.0)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import hashlib, numpy as np\n"
+            "from conivat import dissimilarity_under_metric, euclidean_dissimilarity, normalize_minmax, synth2\n"
+            "data = normalize_minmax(synth2(0))\n"
+            "for d in (euclidean_dissimilarity(data), dissimilarity_under_metric(data, np.array([[2.0, 0.3], [0.3, 1.0]]))):\n"
+            "    print(hashlib.sha256(d.tobytes()).hexdigest())\n"
+        )
+
+        def digests(threads):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+            return subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True).stdout
+
+        assert digests(1) == digests(2)
 
     def test_subnormal_gram_entries_keep_the_contract(self):
         # points near 1e-160 put the Gram entries near 1e-320, below the
-        # normal range, where halving may round
+        # normal range, where products and sums lose bits
         rng = np.random.default_rng(71)
         data = FeatureMatrix(1e-160 * rng.normal(size=(2 * _TILE + 3, 3)))
         d = dissimilarity_under_metric(data, random_psd(rng, 3))

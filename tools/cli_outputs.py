@@ -23,23 +23,14 @@ tables print wall time. To check that a change leaves every output
 byte-identical, run this in two checkouts and compare the trees:
 
     diff -r OUTDIR_A OUTDIR_B
-
-BLAS is pinned to one thread before NumPy is imported: the Gram-matrix
-distances sum in an order that follows the thread count, so outputs are
-byte-reproducible only at a fixed count.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import contextlib  # noqa: E402 - the thread count must be set before numpy loads
-import io  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import contextlib
+import io
+import sys
+from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
