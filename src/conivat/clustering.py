@@ -27,12 +27,13 @@ skewed input is edited in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .constraints import ConstraintSet
 from .metric import _TILE
-from .vat import VatResult, _vat_traversal, _zero_similar, validate_dissimilarity
+from .vat import VatResult, _check_pairs, _vat_traversal, _zero_similar, validate_dissimilarity
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class Partition:
         return self.labels.shape[0]
 
 
+def _check_k(k, n: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is an integer in [1, n]; a bool or an integral float is not."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+
+
 def _cut_tree(order: np.ndarray, cuts: np.ndarray, k: int) -> Partition:
     """Cut the k-1 largest edges of a VAT traversal's MST; see ``cut_mst``.
 
@@ -69,8 +76,7 @@ def _cut_tree(order: np.ndarray, cuts: np.ndarray, k: int) -> Partition:
     been cut, edge t-1 would have been too.
     """
     n = order.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(k, n)
     starts = np.zeros(n, dtype=int)
     starts[np.lexsort((np.arange(n - 1), cuts))[n - k:] + 1] = 1
     labels = np.empty(n, dtype=int)
@@ -122,8 +128,7 @@ def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
 def _complete_linkage(m: np.ndarray, k: int) -> Partition:
     """The complete-linkage merge loop of ``hac`` over a validated ``m``, which it overwrites."""
     n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(k, n)
     # Slot index == representative index; merging folds the larger slot
     # into the smaller so representatives stay minimal. Each row caches its
     # first minimum (nbr, low), so argmin(low) then nbr is the row-major
@@ -174,10 +179,7 @@ def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
     traversal or merge loop without validating it again.
     """
     out = _validated_copy(d)
-    n = out.shape[0]
-    for i, j in cs.dissimilar:
-        if i >= n or j >= n:
-            raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
+    _check_pairs(cs.dissimilar, out.shape[0])
     top = float(out.max())
     ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
     _zero_similar(out, cs)

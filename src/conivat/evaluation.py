@@ -203,6 +203,8 @@ def run_benchmark(
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     seeds = _run_seeds(seed, runs)
     rows = []
     for ds_name, raw in datasets.items():

@@ -18,7 +18,11 @@ order of the distance matrix is the running-max matrix of the cuts, and
 ``rdi.render`` draws it from them; no n x n matrix outlives the traversal.
 For the same reason every single-linkage cluster is a contiguous run of
 the VAT order, so the order and the cuts give every partition
-(``clustering.cut_mst``). The plain VAT image of ``d`` is
+(``clustering.cut_mst``). Each MST edge is the largest cut of every range
+that crosses it inside one run of positions, the cluster it splits
+(``_cut_runs``). So the image is one rectangle per edge on each side of
+the diagonal: above it the first largest cut of a range wins, below it the
+last (``_running_max_matrix``). The plain VAT image of ``d`` is
 ``d[np.ix_(order, order)]``.
 
 Matrices from outside are checked where they enter: ``vat_reorder``,
@@ -138,67 +142,46 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return order, cuts
 
 
+def _cut_runs(cuts: np.ndarray, later_wins: bool) -> tuple[list[int], list[int]]:
+    """For each edge e, the run lo[e]..hi[e] of positions in which cuts[e] is the largest cut.
+
+    Edge e joins positions e and e+1, and it is the largest cut of
+    cuts[s:t] exactly when lo[e] <= s <= e < t <= hi[e]. Among equal cuts
+    the first wins, or, if ``later_wins``, the last, as ``cut_mst`` breaks
+    ties. The runs are the nodes of the single-linkage hierarchy (the
+    Cartesian tree of the cuts). One monotone-stack pass: the stack holds
+    the edges whose run is still open to the right, and an edge that beats
+    the top closes that run and opens its own just past the survivor.
+    """
+    vals = cuts.tolist()
+    lo, hi = [0] * len(vals), [len(vals)] * len(vals)
+    stack = []
+    for e, c in enumerate(vals):
+        while stack and (vals[stack[-1]] <= c if later_wins else vals[stack[-1]] < c):
+            hi[stack.pop()] = e
+        lo[e] = stack[-1] + 1 if stack else 0
+        stack.append(e)
+    return lo, hi
+
+
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    It has the dtype of ``cuts``. Its
-    entries are those of the row recursion in which row t below the
-    diagonal is row t-1 raised to cuts[t-1], and row t above it is row t+1
-    raised to cuts[t]. On equal values NumPy's maximum returns its second
-    operand, so an entry below the diagonal is the last largest cut of its
-    range and one above it the first; the two differ only in the sign of a
-    zero, and this function keeps both.
-
-    The rows are filled one block of ``_TILE`` at a time, in about twenty
-    NumPy calls per block rather than two per row. Below the diagonal,
-    for rows t0..t1-1: row t0 is row t0-1 raised to cuts[t0-1]; every later
-    row t of the block is first filled with the running maximum of
-    cuts[t0:t], and then row t0 is raised to it in one contiguous maximum
-    over the whole block. Above the diagonal, the mirror image, bottom up:
-    row t1-1 comes from row t1, and the rows above it hold the suffix
-    maxima of cuts[t:t1-1]. In both, the cuts nearer the entry's own row
-    are the second operand, as in the recursion. On the diagonal block each
-    triangle is a block of cuts masked to that triangle, with a cumulative
-    maximum taken down (below) or up (above) it, and one maximum joins the
-    two.
+    It has the dtype of ``cuts``, and every entry is one cut, sign of zero
+    included: above the diagonal the first largest cut of its range, below
+    it the last, as a row recursion by NumPy's maximum (which returns its
+    second operand on equal values) gives. So edge e fills two rectangles
+    with cuts[e], using its runs from ``_cut_runs``: above the diagonal,
+    rows lo..e by columns e+1..hi of its first-wins run; below it, rows
+    e+1..hi by columns lo..e of its last-wins run. Each off-diagonal entry
+    is written once.
     """
     n = cuts.size + 1
-    dt = cuts.dtype
-    out = np.empty((n, n), dt)
-    side = min(n, _TILE)
-    low, high = (-np.inf, np.inf) if dt.kind == "f" else (np.iinfo(dt).min, np.iinfo(dt).max)
-    # np.minimum against these keeps what lies strictly below (above) the
-    # diagonal and puts ``low`` elsewhere, which any cut replaces, ties included
-    keep_below = np.where(np.tri(side, k=-1, dtype=bool), dt.type(high), dt.type(low))
-    keep_above = keep_below.T.copy()
-    below, above = np.empty((2, side, side), dt)
-    for t0 in range(0, n, _TILE):
-        t1 = min(t0 + _TILE, n)
-        h = t1 - t0
-        run = cuts[t0:t1 - 1]
-        if t0 > 0:
-            np.maximum(out[t0 - 1, :t0 - 1], cuts[t0 - 1], out=out[t0, :t0 - 1])
-            out[t0, t0 - 1] = cuts[t0 - 1]
-            left = out[t0 + 1:t1, :t0]
-            left[...] = np.maximum.accumulate(run)[:, None]
-            np.maximum(out[t0, :t0], left, out=left)
-        # diagonal block: row r of ``b`` holds cuts[t0 + r - 1], of ``a`` cuts[t0 + r]
-        b, a = below[:h, :h], above[:h, :h]
-        b[0], b[1:] = low, run[:, None]
-        a[:-1], a[-1] = run[:, None], low
-        np.minimum(b, keep_below[:h, :h], out=b)
-        np.minimum(a, keep_above[:h, :h], out=a)
-        np.maximum.accumulate(b, axis=0, out=b)
-        np.maximum.accumulate(a[::-1], axis=0, out=a[::-1])
-        np.maximum(b, a, out=out[t0:t1, t0:t1])
-    for t0 in reversed(range(0, n, _TILE)):
-        t1 = min(t0 + _TILE, n)
-        if t1 < n:
-            np.maximum(out[t1, t1 + 1:], cuts[t1 - 1], out=out[t1 - 1, t1 + 1:])
-            out[t1 - 1, t1] = cuts[t1 - 1]
-            right = out[t0:t1 - 1, t1:]
-            right[...] = np.maximum.accumulate(cuts[t0:t1 - 1][::-1])[::-1, None]
-            np.maximum(out[t1 - 1, t1:], right, out=right)
+    out = np.empty((n, n), cuts.dtype)
+    (lo_f, hi_f), (lo_l, hi_l) = _cut_runs(cuts, False), _cut_runs(cuts, True)
+    for e, c in enumerate(cuts.tolist()):
+        out[lo_f[e]:e + 1, e + 1:hi_f[e] + 1] = c
+        out[e + 1:hi_l[e] + 1, lo_l[e]:e + 1] = c
     np.fill_diagonal(out, 0)
     return out
 
@@ -247,12 +230,17 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
 
-def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Set every similar pair's distance in ``d`` to zero, in place, both mirror entries."""
-    n = d.shape[0]
-    for i, j in cs.similar:
+def _check_pairs(pairs, n: int) -> None:
+    """Raise ``IndexError`` if a constraint pair names an object outside 0..n-1."""
+    for i, j in pairs:
         if i >= n or j >= n:
             raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
+
+
+def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
+    """Set every similar pair's distance in ``d`` to zero, in place, both mirror entries."""
+    _check_pairs(cs.similar, d.shape[0])
+    for i, j in cs.similar:
         d[i, j] = d[j, i] = 0.0
     return d
 
@@ -272,8 +260,9 @@ def conivat_pipeline(
 
     Variants: ``ivat`` (Euclidean distances), ``metric_ivat``
     (learned metric first), ``mtd_vat`` (zero similar pairs, no learning),
-    ``conivat`` (both). Raw constraints are sanitized here so the learner
-    and the imposition step see the same closed, conflict-free sets.
+    ``conivat`` (both). Raw constraints are checked against ``data.n`` and
+    sanitized here, so the learner and the imposition step see the same
+    closed, conflict-free sets.
 
     For the variant's distance matrix ``d`` the result equals
     ``vat_reorder(d)``, and the running maxima of its cuts are
@@ -288,7 +277,12 @@ def conivat_pipeline(
     variant = variant.lower()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    cs = sanitize(cs) if cs is not None else ConstraintSet.empty(data.n)
+    if cs is None:
+        cs = ConstraintSet.empty(data.n)
+    else:
+        # the set's own n_items may differ from data.n; its pairs may not
+        _check_pairs(cs.similar | cs.dissimilar, data.n)
+        cs = sanitize(cs)
     report = None
     if variant in _METRIC_VARIANTS:
         a, report = learn_metric(data, cs, cfg)

@@ -136,6 +136,26 @@ def running_max_rows(cuts: np.ndarray) -> np.ndarray:
     return out
 
 
+def cut_runs_scan(cuts, later_wins: bool) -> tuple[list[int], list[int]]:
+    """Run lo[e]..hi[e] of positions in which cuts[e] is the largest cut, by scanning out from each edge.
+
+    Edge e joins positions e and e+1. Going left, a cut equal to cuts[e]
+    stops the run if the first largest cut wins and is passed if the last
+    wins; going right, the other way round.
+    """
+    lo, hi = [], []
+    for e, c in enumerate(cuts):
+        s = e
+        while s > 0 and (cuts[s - 1] <= c if later_wins else cuts[s - 1] < c):
+            s -= 1
+        t = e + 1
+        while t < len(cuts) and (cuts[t] < c if later_wins else cuts[t] <= c):
+            t += 1
+        lo.append(s)
+        hi.append(t)
+    return lo, hi
+
+
 def naive_vat_prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """VAT Prim traversal with a masked update and an anchor per candidate.
 

@@ -184,6 +184,13 @@ class TestHac:
         with pytest.raises(ValueError):
             hac(np.zeros((3, 3)), 4, "complete")
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), True], ids=["float", "float64", "bool"])
+    @pytest.mark.parametrize("route", ["cut_mst", "single", "complete"])
+    def test_k_must_be_an_integer(self, route, k):
+        d = random_dissimilarity(np.random.default_rng(5), 4)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
+            cut_mst(vat_reorder(d), k) if route == "cut_mst" else hac(d, k, route)
+
     def test_unknown_linkage(self):
         with pytest.raises(ValueError):
             hac(np.zeros((3, 3)), 2, "average")

@@ -169,6 +169,17 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark({"iris": iris}, ("dbscan",), 5, 2, 0)
 
+    @pytest.mark.parametrize("entry", ["benchmark", "ablation", "sweep"])
+    def test_zero_runs_rejected(self, iris, entry):
+        # no run means no mean: refused before any run rather than averaged into NaN
+        call = {
+            "benchmark": lambda: run_benchmark({"iris": iris}, ("hac-sl",), 30, 0, 0),
+            "ablation": lambda: run_ablation(iris, 30, 0, 0),
+            "sweep": lambda: run_constraint_sweep(iris, (0, 30), 0, 0),
+        }[entry]
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            call()
+
     def test_report_lookup_and_formats(self, iris):
         rep = run_benchmark({"iris": iris}, ("hac-sl",), 5, 2, 0)
         with pytest.raises(KeyError):

@@ -32,8 +32,18 @@ from conivat import (
 )
 from conivat import vat as vat_module
 from conivat.clustering import _edit
-from conivat.vat import _TILE, VARIANTS, VatResult, _prim, _running_max_matrix, _vat_traversal, _zero_similar
+from conivat.vat import (
+    _TILE,
+    VARIANTS,
+    VatResult,
+    _cut_runs,
+    _prim,
+    _running_max_matrix,
+    _vat_traversal,
+    _zero_similar,
+)
 from oracles import (
+    cut_runs_scan,
     floyd_warshall_minimax,
     integer_dissimilarity,
     kruskal_mst_weights,
@@ -377,13 +387,67 @@ class TestMinimaxTransform:
         assert np.allclose(np.sort(vat_reorder(out).cut_magnitudes), kruskal_mst_weights(d), atol=0)
 
 
-class TestRunningMaxMatrix:
-    """The block fill against the row recursion it replaced, byte for byte."""
+SHAPES = ("drawn", "constant", "increasing", "decreasing")
+
+
+def shaped(cuts: np.ndarray, shape: str, fill) -> np.ndarray:
+    """``cuts`` as drawn, all equal to ``fill``, or sorted up or down: a single root or a chain of runs."""
+    if shape == "constant":
+        return np.full_like(cuts, fill)
+    if shape == "drawn":
+        return cuts
+    return np.sort(cuts) if shape == "increasing" else np.sort(cuts)[::-1]
+
+
+class TestCutRuns:
+    """The runs of the cut hierarchy against a scan out from each edge, under both tie rules."""
+
+    @staticmethod
+    def drawn_cuts(data) -> np.ndarray:
+        # few values, so many ties: zeros of both signs, n = 1 and 2, and
+        # constant, increasing and decreasing vectors among the drawn ones
+        n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)), label="n")
+        pool = data.draw(st.sampled_from([np.array([0.0, -0.0]), np.array([0.0, -0.0, 1.0]),
+                                          np.array([0.0, -0.0, 0.5, 1.0, 2.5]), np.array([0, 1, 2], np.uint8),
+                                          np.arange(40.0)]), label="pool")
+        cuts = pool[data.draw(st.lists(st.integers(0, pool.size - 1), min_size=n - 1, max_size=n - 1), label="picks")]
+        return shaped(cuts, data.draw(st.sampled_from(SHAPES), label="shape"), pool[-1])
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_scan(self, data):
+        cuts = self.drawn_cuts(data)
+        for later_wins in (False, True):
+            assert _cut_runs(cuts, later_wins) == cut_runs_scan(cuts.tolist(), later_wins)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
+    def test_every_pair_has_one_owner(self, data):
+        # pair s < t is owned by the first (or last) largest cut of cuts[s:t], and by no other edge
+        cuts = self.drawn_cuts(data)
+        n = cuts.size + 1
+        for later_wins in (False, True):
+            lo, hi = _cut_runs(cuts, later_wins)
+            owners = np.zeros((n, n), int)
+            owner = np.full((n, n), -1)
+            for e in range(n - 1):
+                owners[lo[e]:e + 1, e + 1:hi[e] + 1] += 1
+                owner[lo[e]:e + 1, e + 1:hi[e] + 1] = e
+            assert np.array_equal(owners, np.triu(np.ones((n, n), int), 1))
+            for s in range(n):
+                for t in range(s + 1, n):
+                    span = cuts[s:t]
+                    want = t - 1 - int(np.argmax(span[::-1])) if later_wins else s + int(np.argmax(span))
+                    assert owner[s, t] == want
+
+
+class TestRunningMaxMatrix:
+    """The rectangle fill against the row recursion, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
     def test_matches_row_recursion_on_drawn_cuts(self, data):
-        # up to three full blocks and one row, so every path of the block fill runs
+        # one object to three tiles and a row: deep hierarchies and long runs
         n = data.draw(
             st.one_of(st.integers(1, 3 * _TILE + 1), st.sampled_from([_TILE, _TILE + 1, 2 * _TILE + 1, 3 * _TILE + 1])),
             label="n",
@@ -396,6 +460,7 @@ class TestRunningMaxMatrix:
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         cuts = pool[rng.integers(0, pool.size, n - 1)]
+        cuts = shaped(cuts, data.draw(st.sampled_from(SHAPES), label="shape"), pool[-1])
         got, want = _running_max_matrix(cuts), running_max_rows(cuts)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if n <= 16:
@@ -440,6 +505,19 @@ class TestImposeSimilar:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pair_out_of_range_of_the_data_rejected_at_entry(self, iris_norm, monkeypatch, variant):
+        # the set's n_items (300) admits the pair; the 150 objects do not
+        monkeypatch.setattr(vat_module, "learn_metric", None)  # a call would raise TypeError: the check comes first
+        cs = ConstraintSet(frozenset([(0, 200)]), frozenset([(1, 2)]), 300)
+        with pytest.raises(IndexError, match=r"constraint pair \(0, 200\) out of range for 150 objects"):
+            conivat_pipeline(iris_norm, cs, variant=variant)
+
+    def test_larger_n_items_with_pairs_in_range_accepted(self, iris_norm):
+        cs = ConstraintSet(frozenset([(0, 1)]), frozenset([(0, 100)]), 300)
+        vat, _ = conivat_pipeline(iris_norm, cs, variant="conivat")
+        assert vat.n == 150
+
     def test_ivat_equals_manual_route(self, two_blobs):
         vat, report = conivat_pipeline(two_blobs, variant="ivat")
         assert report is None
