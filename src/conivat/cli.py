@@ -136,10 +136,7 @@ def _load_constraints(args, name: str, data: FeatureMatrix) -> ConstraintSet:
         if args.n_constraints == 0:
             return ConstraintSet.empty(data.n)
         raise InputError("cannot draw constraints: dataset has no labels (pass --constraints or --label-column)")
-    try:
-        return generate_from_labels(data, args.n_constraints, seed=args.seed)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    return generate_from_labels(data, args.n_constraints, seed=args.seed)
 
 
 def _read_text(path: str) -> str | None:
@@ -302,47 +299,47 @@ def _check_drawn_counts(sets, counts, flag: str, pool_size=_pool_size) -> None:
                 )
 
 
+def _check_protocol(args, sets, bytes_per_entry: int) -> list[int]:
+    """Check labels, ``--runs``, the drawn counts and memory before a protocol command runs; return the counts."""
+    for name, data in sets:
+        if data.labels is None:
+            raise InputError(f"dataset {name!r} has no labels; {args.command} needs ground truth")
+    if args.runs < 1:
+        raise InputError("--runs must be >= 1")
+    if args.command == "sweep":
+        flag = "--counts"
+        try:
+            counts = [int(c) for c in args.counts.split(",") if c.strip()]
+        except ValueError as e:
+            raise InputError(f"--counts must be comma-separated integers: {e}") from e
+        if not counts:
+            raise InputError("--counts needs at least one non-negative integer")
+    else:
+        flag, counts = "--n-constraints", [args.n_constraints]
+    _check_drawn_counts(sets, counts, flag)
+    _check_memory(sets, bytes_per_entry)
+    return counts
+
+
 def cmd_benchmark(args) -> int:
     sets = _load_datasets(args)
     if not sets:
         raise InputError("at least one --data/--gen is required")
-    for name, data in sets:
-        if data.labels is None:
-            raise InputError(f"dataset {name!r} has no labels; benchmark needs ground truth")
-    if args.runs < 1:
-        raise InputError("--runs must be >= 1")
-    _check_drawn_counts(sets, [args.n_constraints], "--n-constraints")
-    _check_memory(sets, 16)
+    _check_protocol(args, sets, 16)
     report = run_benchmark(dict(sets), DEFAULT_ALGORITHMS, args.n_constraints, args.runs, args.seed, _learn_config(args))
     return _write_report(report, _outdir(args), "benchmark.csv")
 
 
 def cmd_ablation(args) -> int:
     name, data = _load_one_dataset(args)
-    if data.labels is None:
-        raise InputError(f"dataset {name!r} has no labels; ablation needs ground truth")
-    if args.runs < 1:
-        raise InputError("--runs must be >= 1")
-    _check_drawn_counts([(name, data)], [args.n_constraints], "--n-constraints")
-    _check_memory([(name, data)], 8)
+    _check_protocol(args, [(name, data)], 8)
     report = run_ablation(data, args.n_constraints, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "ablation.csv")
 
 
 def cmd_sweep(args) -> int:
     name, data = _load_one_dataset(args)
-    if data.labels is None:
-        raise InputError(f"dataset {name!r} has no labels; sweep needs ground truth")
-    if args.runs < 1:
-        raise InputError("--runs must be >= 1")
-    try:
-        counts = [int(c) for c in args.counts.split(",") if c.strip()]
-    except ValueError as e:
-        raise InputError(f"--counts must be comma-separated integers: {e}") from e
-    if not counts:
-        raise InputError("--counts needs at least one non-negative integer")
-    _check_drawn_counts([(name, data)], counts, "--counts")
-    _check_memory([(name, data)], 8)
+    counts = _check_protocol(args, [(name, data)], 8)
     report = run_constraint_sweep(data, counts, args.runs, args.seed, _learn_config(args), name=name)
     return _write_report(report, _outdir(args), "sweep.csv")
 

@@ -19,9 +19,7 @@ only while it is read; the closed rows of the must-link endpoints then
 close the whole matrix, a block of rows at a time. ``ssl`` clusters the
 edited matrix with single linkage directly, since the propagation cannot
 change single-linkage merge heights. Both validate their input once, in
-the edit, and hand the edited copy straight to the traversal or the merge
-loop. A matrix is copied at most once: the copy validation makes of a
-skewed input is edited in place.
+the edit, which edits the one copy ``vat._validated_copy`` makes.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .metric import _TILE
-from .vat import VatResult, _check_pairs, _vat_traversal, _zero_similar, validate_dissimilarity
+from .vat import VatResult, _validated_copy, _vat_traversal, _zero_similar, validate_dissimilarity
 
 
 @dataclass(frozen=True)
@@ -92,18 +90,6 @@ def cut_mst(vat: VatResult, k: int) -> Partition:
     ids run 0..k-1 along it; labels are returned in original index order.
     """
     return _cut_tree(vat.order, vat.cut_magnitudes, k)
-
-
-def _validated_copy(d: np.ndarray) -> np.ndarray:
-    """``validate_dissimilarity(d)`` + 0.0, copied only if it may share memory with ``d``.
-
-    The result is safe to overwrite. Adding +0.0 maps every -0.0 to +0.0
-    and leaves all other entries as they are. An ``is`` test would not do:
-    for an ndarray subclass validation returns a base-class view of its
-    memory.
-    """
-    m = validate_dissimilarity(d)
-    return m + 0.0 if np.may_share_memory(m, d) else np.add(m, 0.0, out=m)
 
 
 def hac(d: np.ndarray, k: int, linkage: str = "single") -> Partition:
@@ -179,7 +165,7 @@ def _edit(d: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, float]:
     traversal or merge loop without validating it again.
     """
     out = _validated_copy(d)
-    _check_pairs(cs.dissimilar, out.shape[0])
+    cs.check_items(out.shape[0])
     top = float(out.max())
     ceiling = max(top + 1.0, float(np.nextafter(top, np.inf)))
     _zero_similar(out, cs)

@@ -10,8 +10,9 @@ code (metric learning, distance imposition) expects sanitized sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return len(self.similar) + len(self.dissimilar)
+
+    def check_items(self, n: int) -> None:
+        """Raise ``IndexError`` for a pair outside 0..n-1; returns at once when ``n_items <= n``."""
+        if self.n_items > n:
+            for i, j in self.similar | self.dissimilar:
+                if j >= n:  # pairs are stored with i < j
+                    raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
 
 
 class _UnionFind:
@@ -92,11 +100,12 @@ def generate_from_labels(
     Pairs are drawn uniformly from ``pool`` (default: all indices); a pair
     whose endpoints share a label goes to the similar side, otherwise to the
     dissimilar side. Redraws on duplicates so ``count`` means distinct pairs.
+    ``count`` must be a non-negative integer; a bool or a float is not.
     """
     if data.labels is None:
         raise ValueError("constraint generation requires labels")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count}")
     pool = np.arange(data.n) if pool is None else np.asarray(sorted(set(int(i) for i in pool)))
     if pool.size and (pool.min() < 0 or pool.max() >= data.n):
         raise ValueError("pool indices out of range")

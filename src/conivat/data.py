@@ -38,7 +38,7 @@ class FeatureMatrix:
             raise ValueError("points contain non-finite entries")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=int)
+            lab = _int_labels(self.labels)
             if lab.shape != (pts.shape[0],):
                 raise ValueError(f"labels length {lab.shape} != number of rows {pts.shape[0]}")
             if lab.min() < 0:
@@ -58,6 +58,16 @@ class FeatureMatrix:
         if self.labels is None:
             raise ValueError("dataset has no labels")
         return int(np.unique(self.labels).size)
+
+
+def _int_labels(values) -> np.ndarray:
+    """``values`` as an int array; ``ValueError`` if a float value is not an int64 integer (NaN included)."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and values beyond int64 cast to garbage, caught below
+        lab = raw.astype(int)
+    if raw.dtype.kind == "f" and not np.array_equal(lab, raw):
+        raise ValueError(f"labels must be integers, got {float(raw[lab != raw].flat[0])}")
+    return lab
 
 
 def _parse_labels(raw: list[str], path) -> np.ndarray:

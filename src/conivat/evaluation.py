@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import Partition, ccl, cut_mst, hac, ssl
 from .constraints import ConstraintSet, generate_from_labels, sanitize
-from .data import FeatureMatrix, normalize_minmax
+from .data import FeatureMatrix, _int_labels, normalize_minmax
 from .metric import LearnConfig, euclidean_dissimilarity
 from .vat import VARIANTS, conivat_pipeline
 
@@ -34,10 +34,11 @@ def partition_accuracy(pred, truth) -> float:
     Predicted and true ids are matched one-to-one by maximum-weight
     assignment on the contingency matrix; ids left unmatched (when cluster
     counts differ) contribute nothing. Both label arrays must be 1-D,
-    non-empty and of one length.
+    non-empty and of one length, and hold integers: 2.0 is read as 2, but
+    0.5 or NaN raises ``ValueError``.
     """
-    p = pred.labels if isinstance(pred, Partition) else np.asarray(pred, dtype=int)
-    t = np.asarray(truth, dtype=int)
+    p = pred.labels if isinstance(pred, Partition) else _int_labels(pred)
+    t = _int_labels(truth)
     if p.ndim != 1 or t.ndim != 1 or p.size == 0:
         raise ValueError(f"labels must be non-empty 1-D arrays, got shapes {p.shape} and {t.shape}")
     if p.shape != t.shape:

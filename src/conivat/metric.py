@@ -118,11 +118,13 @@ def _gradient(a: np.ndarray, diffs: np.ndarray) -> np.ndarray:
 
 def objective_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> float:
     """Sum of metric distances (first power) over dissimilar pairs."""
+    cs.check_items(data.n)
     return _objective(a, _pair_diffs(data, cs.dissimilar))
 
 
 def gradient_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
     """Ascent direction sum_dissimilar v v^T / (2 d_A); near-zero pairs skipped."""
+    cs.check_items(data.n)
     return _gradient(a, _pair_diffs(data, cs.dissimilar))
 
 
@@ -197,8 +199,14 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
     Requires a sanitized constraint set. When either constraint side is
     empty the optimum is unconstrained or degenerate, so the identity metric
     is returned with ``report.learned`` False and zero iterations. Raises
-    ``ValueError`` when the similar pairs' scatter M_S overflows.
+    ``IndexError`` for a pair outside the data, and ``ValueError`` when the
+    similar pairs' scatter M_S overflows or the ascent collapses A to zero.
+    The fixed step grows with the square of the feature scale while the
+    feasible metrics shrink with it, so on large features one step can
+    overshoot to A = 0, where the objective, positive at the start, ends
+    at 0.0; ``normalize_minmax`` avoids that.
     """
+    cs.check_items(data.n)
     cfg = cfg or LearnConfig()
     p = data.dim
     identity = np.eye(p)
@@ -225,6 +233,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
         if abs(g_now - g_prev) < cfg.epsilon:
             break
         g_prev = g_now
+    if trace[0] > 0.0 and trace[-1] == 0.0:
+        raise ValueError(
+            f"metric learning collapsed: the objective fell from {trace[0]!r} to 0.0; "
+            "rescale the features with normalize_minmax"
+        )
 
     report = LearnReport(
         objective_trace=trace,

@@ -25,12 +25,12 @@ the diagonal: above it the first largest cut of a range wins, below it the
 last (``_running_max_matrix``). The plain VAT image of ``d`` is
 ``d[np.ix_(order, order)]``.
 
-Matrices from outside are checked where they enter: ``vat_reorder``,
-``minimax_transform`` and ``clustering``'s ``hac``, ``ssl`` and ``ccl``
-read their input through ``validate_dissimilarity``. A matrix the package
-builds is valid by construction (``metric.dissimilarity_under_metric``),
-so ``conivat_pipeline`` hands it to the traversal without validating it
-again.
+Inputs from outside are checked once, where they enter: every public
+function that takes a matrix reads it through ``validate_dissimilarity``,
+and one that pairs a constraint set with n objects calls the set's
+``check_items(n)``. A matrix the package builds is valid by construction
+(``metric.dissimilarity_under_metric``), so ``conivat_pipeline`` hands it
+to the traversal without validating it again.
 """
 
 from __future__ import annotations
@@ -88,6 +88,18 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     out = d.copy()
     np.copyto(out, d.T, where=np.tri(n, k=-1, dtype=bool))
     return out
+
+
+def _validated_copy(d: np.ndarray) -> np.ndarray:
+    """``validate_dissimilarity(d)`` + 0.0, copied only if it may share memory with ``d``.
+
+    The result is safe to overwrite. Adding +0.0 maps every -0.0 to +0.0
+    and leaves all other entries as they are. An ``is`` test would not do:
+    for an ndarray subclass validation returns a base-class view of its
+    memory.
+    """
+    m = validate_dissimilarity(d)
+    return m + 0.0 if np.may_share_memory(m, d) else np.add(m, 0.0, out=m)
 
 
 @dataclass(frozen=True)
@@ -230,24 +242,18 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     return _running_max_matrix(cuts)[np.ix_(pos, pos)]
 
 
-def _check_pairs(pairs, n: int) -> None:
-    """Raise ``IndexError`` if a constraint pair names an object outside 0..n-1."""
-    for i, j in pairs:
-        if i >= n or j >= n:
-            raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
-
-
 def _zero_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
     """Set every similar pair's distance in ``d`` to zero, in place, both mirror entries."""
-    _check_pairs(cs.similar, d.shape[0])
     for i, j in cs.similar:
         d[i, j] = d[j, i] = 0.0
     return d
 
 
 def impose_similar(d: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Copy of ``d`` with every similar pair's distance set to zero."""
-    return _zero_similar(np.array(d, dtype=float), cs)
+    """Validated copy of ``d``, -0.0 read as +0.0, with every similar pair's distance set to zero."""
+    out = _validated_copy(d)
+    cs.check_items(out.shape[0])
+    return _zero_similar(out, cs)
 
 
 def conivat_pipeline(
@@ -279,10 +285,8 @@ def conivat_pipeline(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if cs is None:
         cs = ConstraintSet.empty(data.n)
-    else:
-        # the set's own n_items may differ from data.n; its pairs may not
-        _check_pairs(cs.similar | cs.dissimilar, data.n)
-        cs = sanitize(cs)
+    cs.check_items(data.n)
+    cs = sanitize(cs)
     report = None
     if variant in _METRIC_VARIANTS:
         a, report = learn_metric(data, cs, cfg)

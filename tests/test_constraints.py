@@ -44,6 +44,13 @@ class TestConstraintSet:
     def test_empty(self):
         assert len(ConstraintSet.empty(10)) == 0
 
+    def test_check_items_names_a_pair_beyond_the_objects(self):
+        c = cs([(0, 1)], [(200, 1)], 300)
+        c.check_items(201)
+        c.check_items(300)
+        with pytest.raises(IndexError, match=r"constraint pair \(1, 200\) out of range for 150 objects"):
+            c.check_items(150)
+
 
 class TestGenerateFromLabels:
     def test_iris_count_30(self, iris_norm):
@@ -83,6 +90,14 @@ class TestGenerateFromLabels:
         unlabeled = FeatureMatrix(two_blobs.points)
         with pytest.raises(ValueError):
             generate_from_labels(unlabeled, 2, seed=0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0), True, "2"])
+    def test_rejects_a_count_that_is_not_an_integer(self, two_blobs, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            generate_from_labels(two_blobs, count, seed=0)
+
+    def test_accepts_a_numpy_integer_count(self, two_blobs):
+        assert len(generate_from_labels(two_blobs, np.int64(3), seed=0)) == 3
 
 
 class TestTransitiveClosure:

@@ -42,6 +42,15 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             FeatureMatrix(np.zeros((3, 2)), labels=[0, -1, 1])
 
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1], [0, np.nan, 1], [0, 2.0 ** 63, 1]])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            FeatureMatrix(np.zeros((3, 2)), labels=labels)
+
+    def test_integral_float_labels_are_read_as_integers(self):
+        lab = FeatureMatrix(np.zeros((3, 2)), labels=[2.0, 0.0, 1.0]).labels
+        assert lab.dtype.kind == "i" and lab.tolist() == [2, 0, 1]
+
     def test_n_classes_requires_labels(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.zeros((2, 2))).n_classes

@@ -64,6 +64,14 @@ class TestPartitionAccuracy:
     def test_partial_overlap_value(self):
         assert partition_accuracy(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])) == 75.0
 
+    @pytest.mark.parametrize("pred, truth", [([0.5, 1.5], [0, 1]), ([0, 1], [0.0, np.nan])])
+    def test_rejects_labels_that_are_not_integers(self, pred, truth):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            partition_accuracy(pred, truth)
+
+    def test_integral_float_labels_are_read_as_integers(self):
+        assert partition_accuracy([2.0, 1.0, 2.0], [0, 1, 1]) == partition_accuracy([2, 1, 2], [0, 1, 1])
+
     def test_accepts_partition_objects(self):
         p = Partition(np.array([0, 1, 0]), 2)
         assert partition_accuracy(p, np.array([5, 9, 5])) == 100.0

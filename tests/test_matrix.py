@@ -20,8 +20,9 @@ from conivat import (
     validate_dissimilarity,
     vat_reorder,
 )
-from conivat.clustering import _edit, _validated_copy
+from conivat.clustering import _edit
 from conivat.metric import _TILE, dissimilarity_under_metric
+from conivat.vat import _validated_copy
 from oracles import difference_distance_bound, difference_distances, random_dissimilarity
 
 

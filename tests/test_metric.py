@@ -203,6 +203,30 @@ class TestLearnMetric:
 
         assert ratio(a) < ratio(np.eye(4))
 
+    @pytest.mark.parametrize("call", [
+        lambda data, c: learn_metric(data, c),
+        lambda data, c: objective_g(np.eye(4), data, c),
+        lambda data, c: gradient_g(np.eye(4), data, c),
+    ], ids=["learn_metric", "objective_g", "gradient_g"])
+    def test_pair_out_of_range_of_the_data_rejected(self, iris_norm, call):
+        # the set's n_items (300) admits the pair; the 150 objects do not
+        with pytest.raises(IndexError, match=r"constraint pair \(1, 200\) out of range for 150 objects"):
+            call(iris_norm, cs([(0, 1)], [(1, 200)], 300))
+
+    def test_collapse_to_zero_raises(self, iris_norm):
+        # the fixed step grows with the square of the scale: at 1e4 one step overshoots to A = 0
+        big = FeatureMatrix(iris_norm.points * 1e4, iris_norm.labels)
+        c = sanitize(generate_from_labels(big, 30, seed=0))
+        with pytest.raises(ValueError, match="collapsed.*normalize_minmax"):
+            learn_metric(big, c)
+
+    def test_moderate_scale_still_reaches_the_oracle(self, iris_norm):
+        mid = FeatureMatrix(iris_norm.points * 1e2, iris_norm.labels)
+        c = sanitize(generate_from_labels(mid, 30, seed=0))
+        _, report = learn_metric(mid, c)
+        _, optimum, _ = xing_metric_oracle(mid.points, sorted(c.similar), sorted(c.dissimilar))
+        assert report.learned and report.objective_trace[-1] >= 0.999 * optimum
+
     def test_projection_passes_never_move_away_from_witnesses(self):
         # projection onto the convex PSD cone moves no farther from any PSD witness
         rng = np.random.default_rng(43)

@@ -491,6 +491,28 @@ class TestImposeSimilar:
         with pytest.raises(IndexError):
             impose_similar(np.zeros((2, 2)), ConstraintSet(frozenset([(0, 5)]), frozenset(), 6))
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            impose_similar(np.zeros((2, 3)), ConstraintSet(frozenset([(0, 1)]), frozenset(), 2))
+
+    @pytest.mark.parametrize("seed, n, entry", SKEWED_CASES)
+    def test_skewed_input_reads_as_its_upper_triangle_mirror(self, seed, n, entry):
+        # no similar pair and no -0.0 is a single skewed entry, so neither hides the skew
+        skewed = skewed_matrix(seed, n, entry)
+        if n > 2:
+            skewed[n - 2, n - 1] = skewed[n - 1, n - 2] = -0.0
+        before = skewed.copy()
+        want = skewed.copy()
+        upper = np.triu_indices(n, 1)
+        want[upper[::-1]] = skewed[upper]
+        assert not np.array_equal(want, skewed)
+        similar = {(0, 1), (1, n - 1)} if n > 2 else {(0, 1)}
+        for i, j in similar:
+            want[i, j] = want[j, i] = 0.0
+        got = impose_similar(skewed, ConstraintSet(frozenset(similar), frozenset(), n))
+        assert got.tobytes() == (want + 0.0).tobytes()  # -0.0 reads as +0.0
+        assert skewed.tobytes() == before.tobytes()
+
     def test_component_collapses_under_minimax(self):
         # a similar-closure component becomes an all-zero block after the
         # minimax transform even when only a spanning chain was zeroed
