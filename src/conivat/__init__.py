@@ -5,9 +5,7 @@ from .constraints import (
     ConstraintSet,
     generate_from_labels,
     read_constraints,
-    remove_inconsistent,
     sanitize,
-    transitive_closure,
     write_constraints,
 )
 from .data import (
@@ -33,10 +31,7 @@ from .metric import (
     LearnReport,
     dissimilarity_under_metric,
     euclidean_dissimilarity,
-    gradient_g,
     learn_metric,
-    objective_g,
-    project_psd,
 )
 from .rdi import RdiImage, render, write_pgm
 from .vat import VatResult, conivat_pipeline, impose_similar, minimax_transform, validate_dissimilarity, vat_reorder
@@ -61,7 +56,6 @@ __all__ = [
     "gen_banana",
     "gen_gaussian_mixture",
     "generate_from_labels",
-    "gradient_g",
     "hac",
     "impose_similar",
     "learn_metric",
@@ -69,11 +63,8 @@ __all__ = [
     "load_iris",
     "minimax_transform",
     "normalize_minmax",
-    "objective_g",
     "partition_accuracy",
-    "project_psd",
     "read_constraints",
-    "remove_inconsistent",
     "render",
     "run_ablation",
     "run_benchmark",
@@ -83,7 +74,6 @@ __all__ = [
     "suggest_k",
     "synth1",
     "synth2",
-    "transitive_closure",
     "validate_dissimilarity",
     "vat_reorder",
     "write_constraints",

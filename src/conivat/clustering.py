@@ -30,6 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .constraints import ConstraintSet
+from .data import _int_labels
 from .metric import _TILE
 from .vat import VatResult, _validated_copy, _vat_traversal, _zero_similar, validate_dissimilarity
 
@@ -42,7 +43,7 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _int_labels(self.labels)
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.shape[0] == 0:
             raise ValueError("labels must be a nonempty 1-D array")

@@ -21,7 +21,15 @@ from .data import FeatureMatrix
 Pair = tuple[int, int]
 
 
+def _is_index(v) -> bool:
+    """True for an integer, NumPy's included; a bool or an integral float is not one."""
+    # a plain int first: the ABC check costs ten times as much
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
 def _norm_pair(i: int, j: int) -> Pair:
+    if not (_is_index(i) and _is_index(j)):
+        raise ValueError(f"constraint pair ({i!r}, {j!r}) must hold integer indices")
     if i == j:
         raise ValueError(f"self-pair ({i},{i}) is not a valid constraint")
     return (i, j) if i < j else (j, i)
@@ -29,13 +37,19 @@ def _norm_pair(i: int, j: int) -> Pair:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Unordered index pairs split into similar and dissimilar sides."""
+    """Unordered index pairs split into similar and dissimilar sides.
+
+    ``n_items`` must be an integer >= 0 and every pair index an integer in
+    0..n_items-1, else ``ValueError``.
+    """
 
     similar: frozenset[Pair]
     dissimilar: frozenset[Pair]
     n_items: int
 
     def __post_init__(self):
+        if not (_is_index(self.n_items) and self.n_items >= 0):
+            raise ValueError(f"n_items must be an integer >= 0, got {self.n_items!r}")
         sim = frozenset(_norm_pair(*p) for p in self.similar)
         dis = frozenset(_norm_pair(*p) for p in self.dissimilar)
         for i, j in sim | dis:
@@ -104,7 +118,7 @@ def generate_from_labels(
     """
     if data.labels is None:
         raise ValueError("constraint generation requires labels")
-    if isinstance(count, bool) or not isinstance(count, Integral) or count < 0:
+    if not (_is_index(count) and count >= 0):
         raise ValueError(f"count must be an integer >= 0, got {count}")
     pool = np.arange(data.n) if pool is None else np.asarray(sorted(set(int(i) for i in pool)))
     if pool.size and (pool.min() < 0 or pool.max() >= data.n):

@@ -98,34 +98,15 @@ def _pair_diffs(data: FeatureMatrix, pairs) -> np.ndarray:
     return data.points[idx[:, 0]] - data.points[idx[:, 1]]
 
 
-def _sq_dists(a: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.einsum("ki,ij,kj->k", diffs, a, diffs))
+def _objective_and_gradient(a: np.ndarray, diffs: np.ndarray) -> tuple[float, np.ndarray]:
+    """g(A) and its ascent direction sum_dissimilar v v^T / (2 d_A), from one pass over the pairs.
 
-
-def _objective(a: np.ndarray, diffs: np.ndarray) -> float:
-    return float(np.sum(np.sqrt(_sq_dists(a, diffs))))
-
-
-def _gradient(a: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    d = np.sqrt(_sq_dists(a, diffs))
+    Pairs closer than ``_MIN_DIST`` under A add to g but not to the direction.
+    """
+    d = np.sqrt(np.maximum(0.0, np.einsum("ki,ij,kj->k", diffs, a, diffs)))
     keep = d >= _MIN_DIST
-    if not np.any(keep):
-        return np.zeros_like(a)
-    w = 0.5 / d[keep]
-    grad = (diffs[keep] * w[:, None]).T @ diffs[keep]
-    return (grad + grad.T) / 2.0
-
-
-def objective_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> float:
-    """Sum of metric distances (first power) over dissimilar pairs."""
-    cs.check_items(data.n)
-    return _objective(a, _pair_diffs(data, cs.dissimilar))
-
-
-def gradient_g(a: np.ndarray, data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
-    """Ascent direction sum_dissimilar v v^T / (2 d_A); near-zero pairs skipped."""
-    cs.check_items(data.n)
-    return _gradient(a, _pair_diffs(data, cs.dissimilar))
+    grad = (diffs[keep] * (0.5 / d[keep])[:, None]).T @ diffs[keep]
+    return float(np.sum(d)), (grad + grad.T) / 2.0
 
 
 def _similar_outer(data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
@@ -222,11 +203,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
         raise ValueError("similar-pair scatter overflows; rescale the features")
 
     a, lam = _project_feasible(identity, m_s, m_s_sq, 0.0)
-    g_prev = _objective(a, diffs_d)
+    g_prev, grad = _objective_and_gradient(a, diffs_d)
     trace = [g_prev]
     for _ in range(cfg.max_iters):
-        a, lam = _project_feasible(a + cfg.alpha * _gradient(a, diffs_d), m_s, m_s_sq, lam)
-        g_now = _objective(a, diffs_d)
+        a, lam = _project_feasible(a + cfg.alpha * grad, m_s, m_s_sq, lam)
+        g_now, grad = _objective_and_gradient(a, diffs_d)
         if not np.isfinite(g_now):
             raise FloatingPointError("objective became non-finite; check input data")
         trace.append(g_now)

@@ -21,8 +21,8 @@ the VAT order, so the order and the cuts give every partition
 (``clustering.cut_mst``). Each MST edge is the largest cut of every range
 that crosses it inside one run of positions, the cluster it splits
 (``_cut_runs``). So the image is one rectangle per edge on each side of
-the diagonal: above it the first largest cut of a range wins, below it the
-last (``_running_max_matrix``). The plain VAT image of ``d`` is
+the diagonal, each entry the last largest cut of its range
+(``_running_max_matrix``). The plain VAT image of ``d`` is
 ``d[np.ix_(order, order)]``.
 
 Inputs from outside are checked once, where they enter: every public
@@ -154,22 +154,22 @@ def _prim(d: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return order, cuts
 
 
-def _cut_runs(cuts: np.ndarray, later_wins: bool) -> tuple[list[int], list[int]]:
+def _cut_runs(cuts: np.ndarray) -> tuple[list[int], list[int]]:
     """For each edge e, the run lo[e]..hi[e] of positions in which cuts[e] is the largest cut.
 
     Edge e joins positions e and e+1, and it is the largest cut of
     cuts[s:t] exactly when lo[e] <= s <= e < t <= hi[e]. Among equal cuts
-    the first wins, or, if ``later_wins``, the last, as ``cut_mst`` breaks
-    ties. The runs are the nodes of the single-linkage hierarchy (the
-    Cartesian tree of the cuts). One monotone-stack pass: the stack holds
-    the edges whose run is still open to the right, and an edge that beats
-    the top closes that run and opens its own just past the survivor.
+    the last wins, as ``cut_mst`` breaks ties. The runs are the nodes of
+    the single-linkage hierarchy (the Cartesian tree of the cuts). One
+    monotone-stack pass: the stack holds the edges whose run is still open
+    to the right, and an edge at least as large as the top closes that run
+    and opens its own just past the survivor.
     """
     vals = cuts.tolist()
     lo, hi = [0] * len(vals), [len(vals)] * len(vals)
     stack = []
     for e, c in enumerate(vals):
-        while stack and (vals[stack[-1]] <= c if later_wins else vals[stack[-1]] < c):
+        while stack and vals[stack[-1]] <= c:
             hi[stack.pop()] = e
         lo[e] = stack[-1] + 1 if stack else 0
         stack.append(e)
@@ -179,21 +179,18 @@ def _cut_runs(cuts: np.ndarray, later_wins: bool) -> tuple[list[int], list[int]]
 def _running_max_matrix(cuts: np.ndarray) -> np.ndarray:
     """Matrix whose (s, t) entry is max(cuts[min(s, t):max(s, t)]), zero diagonal.
 
-    It has the dtype of ``cuts``, and every entry is one cut, sign of zero
-    included: above the diagonal the first largest cut of its range, below
-    it the last, as a row recursion by NumPy's maximum (which returns its
-    second operand on equal values) gives. So edge e fills two rectangles
-    with cuts[e], using its runs from ``_cut_runs``: above the diagonal,
-    rows lo..e by columns e+1..hi of its first-wins run; below it, rows
-    e+1..hi by columns lo..e of its last-wins run. Each off-diagonal entry
-    is written once.
+    It has the dtype of ``cuts`` and is exactly symmetric: every entry is
+    the last largest cut of its range, sign of zero included. So edge e
+    fills, with cuts[e], the rectangle of rows lo..e by columns e+1..hi of
+    its run from ``_cut_runs`` and the mirror of that rectangle. Each
+    off-diagonal entry is written once.
     """
     n = cuts.size + 1
     out = np.empty((n, n), cuts.dtype)
-    (lo_f, hi_f), (lo_l, hi_l) = _cut_runs(cuts, False), _cut_runs(cuts, True)
+    lo, hi = _cut_runs(cuts)
     for e, c in enumerate(cuts.tolist()):
-        out[lo_f[e]:e + 1, e + 1:hi_f[e] + 1] = c
-        out[e + 1:hi_l[e] + 1, lo_l[e]:e + 1] = c
+        out[lo[e]:e + 1, e + 1:hi[e] + 1] = c
+        out[e + 1:hi[e] + 1, lo[e]:e + 1] = c
     np.fill_diagonal(out, 0)
     return out
 
@@ -235,7 +232,7 @@ def minimax_transform(d: np.ndarray) -> np.ndarray:
     no cut in between exceeds M. Conversely the prefix before the largest
     cut can only be left through an edge at least that large. So one
     traversal gives the whole matrix, with no per-pair path search. Output
-    is ultrametric and entrywise dominated by the input.
+    is exactly symmetric, ultrametric and entrywise dominated by the input.
     """
     order, cuts = _vat_traversal(validate_dissimilarity(d))
     pos = np.argsort(order)

@@ -100,6 +100,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([0, 1]), 1)
 
+    def test_rejects_non_integral_labels(self):
+        # truncating would read [0.5, 1.5] as the valid labels [0, 1]
+        with pytest.raises(ValueError, match="labels must be integers, got 0.5"):
+            Partition(np.array([0.5, 1.5]), 2)
+
+    def test_integral_float_labels_kept(self):
+        p = Partition(np.array([0.0, 2.0, 1.0]), 3)
+        assert p.labels.dtype.kind == "i" and p.labels.tolist() == [0, 2, 1]
+
 
 class TestCutMst:
     def test_k1_single_cluster(self):

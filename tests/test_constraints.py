@@ -1,5 +1,7 @@
 """Constraint algebra: generation, transitive closure, conflict removal."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,10 @@ from conivat import (
     FeatureMatrix,
     generate_from_labels,
     read_constraints,
-    remove_inconsistent,
     sanitize,
-    transitive_closure,
     write_constraints,
 )
+from conivat.constraints import remove_inconsistent, transitive_closure
 from oracles import reachability_closure, similar_components
 
 
@@ -40,6 +41,24 @@ class TestConstraintSet:
             cs([(0, 5)], [], 5)
         with pytest.raises(ValueError):
             cs([], [(-1, 2)], 5)
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), (1, 2.0), (True, 2), (0, np.float64(1.0))])
+    def test_rejects_non_integer_pair_indices(self, pair):
+        # casting to int would read (0.5, 1) as the pair (0, 1)
+        message = f"constraint pair ({pair[0]!r}, {pair[1]!r}) must hold integer indices"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cs([pair], [(0, 2)], 3)
+        with pytest.raises(ValueError, match="must hold integer indices"):
+            cs([], [pair], 3)
+
+    @pytest.mark.parametrize("n_items", [3.0, True, -1, "3"])
+    def test_rejects_n_items_that_is_not_a_count(self, n_items):
+        with pytest.raises(ValueError, match=r"n_items must be an integer >= 0"):
+            ConstraintSet.empty(n_items)
+
+    def test_numpy_integers_accepted(self):
+        c = cs([(np.int64(2), np.int32(0))], [], np.int64(3))
+        assert c.similar == frozenset({(0, 2)}) and c.n_items == 3
 
     def test_empty(self):
         assert len(ConstraintSet.empty(10)) == 0

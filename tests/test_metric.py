@@ -15,14 +15,11 @@ from conivat import (
     dissimilarity_under_metric,
     euclidean_dissimilarity,
     generate_from_labels,
-    gradient_g,
     learn_metric,
-    objective_g,
-    project_psd,
     sanitize,
 )
 from conivat import metric
-from conivat.metric import _TILE, _project_feasible
+from conivat.metric import _TILE, _objective_and_gradient, _pair_diffs, _project_feasible, project_psd
 from oracles import (
     difference_distance_bound,
     difference_distances,
@@ -49,6 +46,15 @@ def assert_distance_contract(data: FeatureMatrix, a: np.ndarray) -> np.ndarray:
     assert np.diag(d).tobytes() == bytes(d.itemsize * len(d))
     assert np.all(np.abs(d * d - difference_distances(data.points, a)) <= difference_distance_bound(data.points, a))
     return d
+
+
+# g(A) and its gradient over the dissimilar pairs of ``c``, both read from the learner's kernel
+def objective_g(a: np.ndarray, data: FeatureMatrix, c: ConstraintSet) -> float:
+    return _objective_and_gradient(a, _pair_diffs(data, c.dissimilar))[0]
+
+
+def gradient_g(a: np.ndarray, data: FeatureMatrix, c: ConstraintSet) -> np.ndarray:
+    return _objective_and_gradient(a, _pair_diffs(data, c.dissimilar))[1]
 
 
 def similar_quadratic_sum(a: np.ndarray, data: FeatureMatrix, c: ConstraintSet) -> float:
@@ -203,11 +209,7 @@ class TestLearnMetric:
 
         assert ratio(a) < ratio(np.eye(4))
 
-    @pytest.mark.parametrize("call", [
-        lambda data, c: learn_metric(data, c),
-        lambda data, c: objective_g(np.eye(4), data, c),
-        lambda data, c: gradient_g(np.eye(4), data, c),
-    ], ids=["learn_metric", "objective_g", "gradient_g"])
+    @pytest.mark.parametrize("call", [lambda data, c: learn_metric(data, c)], ids=["learn_metric"])
     def test_pair_out_of_range_of_the_data_rejected(self, iris_norm, call):
         # the set's n_items (300) admits the pair; the 150 objects do not
         with pytest.raises(IndexError, match=r"constraint pair \(1, 200\) out of range for 150 objects"):

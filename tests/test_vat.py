@@ -380,6 +380,20 @@ class TestMinimaxTransform:
             assert np.array_equal(running_max_image(vat.cut_magnitudes), fw[np.ix_(vat.order, vat.order)])
             assert np.array_equal(minimax_transform(d), fw)
 
+    def test_exactly_symmetric_with_zeros_of_both_signs(self):
+        # zero distances of both signs make zero cuts of both signs; each pair reads one of them twice
+        rng = np.random.default_rng(41)
+        signed = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            d = integer_dissimilarity(rng, n, levels=2)
+            flip = np.triu(rng.random((n, n)) < 0.5, 1)
+            d[(flip | flip.T) & (d == 0)] = -0.0
+            out = minimax_transform(d)
+            assert out.tobytes() == out.T.tobytes()
+            signed += bool(np.signbit(out).any())
+        assert signed >= 10
+
     def test_cut_magnitudes_survive_transform(self):
         rng = np.random.default_rng(39)
         d = random_dissimilarity(rng, 20)
@@ -400,7 +414,7 @@ def shaped(cuts: np.ndarray, shape: str, fill) -> np.ndarray:
 
 
 class TestCutRuns:
-    """The runs of the cut hierarchy against a scan out from each edge, under both tie rules."""
+    """The runs of the cut hierarchy against a scan out from each edge; the last of equal cuts wins."""
 
     @staticmethod
     def drawn_cuts(data) -> np.ndarray:
@@ -417,32 +431,33 @@ class TestCutRuns:
     @given(st.data())
     def test_matches_the_scan(self, data):
         cuts = self.drawn_cuts(data)
-        for later_wins in (False, True):
-            assert _cut_runs(cuts, later_wins) == cut_runs_scan(cuts.tolist(), later_wins)
+        assert _cut_runs(cuts) == cut_runs_scan(cuts.tolist(), later_wins=True)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_every_pair_has_one_owner(self, data):
-        # pair s < t is owned by the first (or last) largest cut of cuts[s:t], and by no other edge
+        # pair s < t is owned by the last largest cut of cuts[s:t], and by no other edge
         cuts = self.drawn_cuts(data)
         n = cuts.size + 1
-        for later_wins in (False, True):
-            lo, hi = _cut_runs(cuts, later_wins)
-            owners = np.zeros((n, n), int)
-            owner = np.full((n, n), -1)
-            for e in range(n - 1):
-                owners[lo[e]:e + 1, e + 1:hi[e] + 1] += 1
-                owner[lo[e]:e + 1, e + 1:hi[e] + 1] = e
-            assert np.array_equal(owners, np.triu(np.ones((n, n), int), 1))
-            for s in range(n):
-                for t in range(s + 1, n):
-                    span = cuts[s:t]
-                    want = t - 1 - int(np.argmax(span[::-1])) if later_wins else s + int(np.argmax(span))
-                    assert owner[s, t] == want
+        lo, hi = _cut_runs(cuts)
+        owners = np.zeros((n, n), int)
+        owner = np.full((n, n), -1)
+        for e in range(n - 1):
+            owners[lo[e]:e + 1, e + 1:hi[e] + 1] += 1
+            owner[lo[e]:e + 1, e + 1:hi[e] + 1] = e
+        assert np.array_equal(owners, np.triu(np.ones((n, n), int), 1))
+        for s in range(n):
+            for t in range(s + 1, n):
+                assert owner[s, t] == t - 1 - int(np.argmax(cuts[s:t][::-1]))
+
+
+def lower_mirrored(m: np.ndarray) -> np.ndarray:
+    """``m`` with its upper triangle replaced by the mirror of its lower one, entries moved, not computed."""
+    return np.where(np.tri(len(m), dtype=bool), m, m.T)
 
 
 class TestRunningMaxMatrix:
-    """The rectangle fill against the row recursion, byte for byte."""
+    """The rectangle fill against the row recursion's lower triangle, mirrored, byte for byte."""
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
@@ -461,17 +476,18 @@ class TestRunningMaxMatrix:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         cuts = pool[rng.integers(0, pool.size, n - 1)]
         cuts = shaped(cuts, data.draw(st.sampled_from(SHAPES), label="shape"), pool[-1])
-        got, want = _running_max_matrix(cuts), running_max_rows(cuts)
+        got, want = _running_max_matrix(cuts), lower_mirrored(running_max_rows(cuts))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         if n <= 16:
             assert np.array_equal(got, running_max_image(cuts))
 
     def test_keeps_the_sign_of_each_zero(self):
-        # below the diagonal the last largest cut of a range, above it the first
+        # on both sides of the diagonal the last largest cut of a range
         cuts = np.array([0.0] * _TILE + [-0.0] * (_TILE + 1))
         got = _running_max_matrix(cuts)
-        assert got.tobytes() == running_max_rows(cuts).tobytes()
-        assert np.signbit(got[-1, 0]) and not np.signbit(got[0, -1])
+        assert got.tobytes() == lower_mirrored(running_max_rows(cuts)).tobytes()
+        assert got.tobytes() == got.T.tobytes()
+        assert np.signbit(got[-1, 0]) and np.signbit(got[0, -1])
 
 
 class TestImposeSimilar:
