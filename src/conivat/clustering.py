@@ -25,12 +25,11 @@ the edit, which edits the one copy ``vat._validated_copy`` makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .constraints import ConstraintSet
-from .data import _int_labels
+from .data import _int_labels, _is_index
 from .metric import _TILE
 from .vat import VatResult, _validated_copy, _vat_traversal, _zero_similar, validate_dissimilarity
 
@@ -58,7 +57,7 @@ class Partition:
 
 def _check_k(k, n: int) -> None:
     """Raise ``ValueError`` unless ``k`` is an integer in [1, n]; a bool or an integral float is not."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= n:
+    if not (_is_index(k) and 1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
 

@@ -12,19 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
-from .data import FeatureMatrix
+from .data import FeatureMatrix, _is_index
 
 Pair = tuple[int, int]
-
-
-def _is_index(v) -> bool:
-    """True for an integer, NumPy's included; a bool or an integral float is not one."""
-    # a plain int first: the ABC check costs ten times as much
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 def _norm_pair(i: int, j: int) -> Pair:
@@ -73,33 +66,25 @@ class ConstraintSet:
                     raise IndexError(f"constraint pair ({i}, {j}) out of range for {n} objects")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _similar_components(cs: ConstraintSet) -> dict[int, list[int]]:
-    """Connected components of the similar graph, keyed by root index."""
-    uf = _UnionFind(cs.n_items)
-    for i, j in cs.similar:
-        uf.union(i, j)
+    """Each index of a similar pair, mapped to the sorted members of its similar component.
+
+    The members of one component share one list. A merge folds the smaller
+    component into the larger, so each index moves O(log n) times.
+    """
     comps: dict[int, list[int]] = {}
-    touched = {v for p in cs.similar for v in p}
-    for v in sorted(touched):
-        comps.setdefault(uf.find(v), []).append(v)
+    for i, j in cs.similar:
+        big = comps.setdefault(i, [i])
+        small = comps.setdefault(j, [j])
+        if big is small:
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big.extend(small)
+        for v in small:
+            comps[v] = big
+    for members in {id(m): m for m in comps.values()}.values():
+        members.sort()
     return comps
 
 
@@ -114,13 +99,21 @@ def generate_from_labels(
     Pairs are drawn uniformly from ``pool`` (default: all indices); a pair
     whose endpoints share a label goes to the similar side, otherwise to the
     dissimilar side. Redraws on duplicates so ``count`` means distinct pairs.
-    ``count`` must be a non-negative integer; a bool or a float is not.
+    ``count`` must be a non-negative integer and each ``pool`` entry an
+    integer index; a bool or a float is neither.
     """
     if data.labels is None:
         raise ValueError("constraint generation requires labels")
     if not (_is_index(count) and count >= 0):
         raise ValueError(f"count must be an integer >= 0, got {count}")
-    pool = np.arange(data.n) if pool is None else np.asarray(sorted(set(int(i) for i in pool)))
+    if pool is None:
+        pool = np.arange(data.n)
+    else:
+        pool = list(pool)
+        for i in pool:
+            if not _is_index(i):
+                raise ValueError(f"pool indices must be integers, got {i!r}")
+        pool = np.asarray(sorted(set(pool)))
     if pool.size and (pool.min() < 0 or pool.max() >= data.n):
         raise ValueError("pool indices out of range")
     max_pairs = pool.size * (pool.size - 1) // 2
@@ -146,16 +139,14 @@ def transitive_closure(cs: ConstraintSet) -> ConstraintSet:
     dissimilar edge inside one component); see ``remove_inconsistent``.
     """
     comps = _similar_components(cs)
-    uf_root = {v: r for r, members in comps.items() for v in members}
-    sim = set(cs.similar)
-    for members in comps.values():
-        sim.update(combinations(members, 2))
-    dis = set(cs.dissimilar)
+    sim = set()
+    for v, members in comps.items():
+        if v == members[0]:  # each component once, at its smallest member
+            sim.update(combinations(members, 2))
+    dis = set()
     for i, j in cs.dissimilar:
-        side_i = comps.get(uf_root.get(i, i), [i])
-        side_j = comps.get(uf_root.get(j, j), [j])
-        for a in side_i:
-            for b in side_j:
+        for a in comps.get(i, [i]):
+            for b in comps.get(j, [j]):
                 if a != b:
                     dis.add(_norm_pair(a, b))
     return ConstraintSet(frozenset(sim), frozenset(dis), cs.n_items)
@@ -168,12 +159,9 @@ def remove_inconsistent(cs: ConstraintSet) -> tuple[ConstraintSet, list[Pair]]:
     structure that distance imposition consumes. Returns the sanitized set
     and the removed pairs for audit.
     """
-    uf = _UnionFind(cs.n_items)
-    for i, j in cs.similar:
-        uf.union(i, j)
-    removed = sorted(p for p in cs.dissimilar if uf.find(p[0]) == uf.find(p[1]))
-    dis = frozenset(p for p in cs.dissimilar if uf.find(p[0]) != uf.find(p[1]))
-    return ConstraintSet(cs.similar, dis, cs.n_items), removed
+    comps = _similar_components(cs)
+    removed = sorted((i, j) for i, j in cs.dissimilar if i in comps and comps[i] is comps.get(j))
+    return ConstraintSet(cs.similar, cs.dissimilar.difference(removed), cs.n_items), removed
 
 
 def sanitize(cs: ConstraintSet) -> ConstraintSet:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class FeatureMatrix:
         return int(np.unique(self.labels).size)
 
 
+def _is_index(v) -> bool:
+    """True for an integer, NumPy's included; a bool or an integral float is not one."""
+    # a plain int first: the ABC check costs ten times as much
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
 def _int_labels(values) -> np.ndarray:
     """``values`` as an int array; ``ValueError`` if a float value is not an int64 integer (NaN included)."""
     raw = np.asarray(values)
@@ -96,12 +103,12 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
     """Load a numeric CSV, returning ``(data, n_dropped)``.
 
     ``label_column`` selects the class column by header name or 0-based
-    index. Blank rows, and rows whose cells are all whitespace, are
-    skipped. A row with a missing, unparseable or non-finite (``nan``,
-    ``inf``, overflowing) feature cell is dropped; ``n_dropped`` counts
-    them. Raises ``ValueError`` when no usable rows remain, the label
-    column cannot be found or an integral label does not fit a 64-bit
-    integer, ``OSError`` on unreadable files.
+    integer index; a bool is neither. Blank rows, and rows whose cells are
+    all whitespace, are skipped. A row with a missing, unparseable or
+    non-finite (``nan``, ``inf``, overflowing) feature cell is dropped;
+    ``n_dropped`` counts them. Raises ``ValueError`` when no usable rows
+    remain, the label column cannot be found or an integral label does not
+    fit a 64-bit integer, ``OSError`` on unreadable files.
 
     Every feature cell is read as ``float(cell.strip())``, one column at a
     time. A column in which some cell does not parse is read again cell by
@@ -123,7 +130,7 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
     arity = len(rows[0])
     label_idx: int | None = None
     if label_column is not None:
-        if isinstance(label_column, int):
+        if _is_index(label_column):
             label_idx = label_column
         else:
             if header is None or label_column not in header:

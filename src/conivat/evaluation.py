@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import Partition, ccl, cut_mst, hac, ssl
 from .constraints import ConstraintSet, generate_from_labels, sanitize
-from .data import FeatureMatrix, _int_labels, normalize_minmax
+from .data import FeatureMatrix, _int_labels, _is_index, normalize_minmax
 from .metric import LearnConfig, euclidean_dissimilarity
 from .vat import VARIANTS, conivat_pipeline
 
@@ -204,7 +204,7 @@ def run_benchmark(
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
-    if runs < 1:
+    if not (_is_index(runs) and runs >= 1):
         raise ValueError(f"runs must be >= 1, got {runs}")
     seeds = _run_seeds(seed, runs)
     rows = []

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import ConstraintSet
-from .data import FeatureMatrix
+from .data import FeatureMatrix, _is_index
 
 _TILE = 128  # side of the square tiles of the dense passes here, in vat and in clustering
 _MIN_DIST = 1e-12  # dissimilar pairs closer than this under A add no gradient
@@ -71,7 +70,7 @@ class LearnConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters > 0):
+        if not (_is_index(self.max_iters) and self.max_iters > 0):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
 
 

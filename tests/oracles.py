@@ -136,20 +136,19 @@ def running_max_rows(cuts: np.ndarray) -> np.ndarray:
     return out
 
 
-def cut_runs_scan(cuts, later_wins: bool) -> tuple[list[int], list[int]]:
+def cut_runs_scan(cuts) -> tuple[list[int], list[int]]:
     """Run lo[e]..hi[e] of positions in which cuts[e] is the largest cut, by scanning out from each edge.
 
-    Edge e joins positions e and e+1. Going left, a cut equal to cuts[e]
-    stops the run if the first largest cut wins and is passed if the last
-    wins; going right, the other way round.
+    Edge e joins positions e and e+1. Of equal cuts the last wins: going
+    left, a cut equal to cuts[e] is passed; going right, it stops the run.
     """
     lo, hi = [], []
     for e, c in enumerate(cuts):
         s = e
-        while s > 0 and (cuts[s - 1] <= c if later_wins else cuts[s - 1] < c):
+        while s > 0 and cuts[s - 1] <= c:
             s -= 1
         t = e + 1
-        while t < len(cuts) and (cuts[t] < c if later_wins else cuts[t] <= c):
+        while t < len(cuts) and cuts[t] < c:
             t += 1
         lo.append(s)
         hi.append(t)
@@ -352,7 +351,7 @@ def naive_load_csv(path, label_column=None):
     arity = len(rows[0])
     label_idx = None
     if label_column is not None:
-        if isinstance(label_column, int):
+        if isinstance(label_column, int) and not isinstance(label_column, bool):
             label_idx = label_column
         else:
             if header is None or label_column not in header:

@@ -1,6 +1,7 @@
 """Constraint algebra: generation, transitive closure, conflict removal."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ class TestGenerateFromLabels:
         with pytest.raises(ValueError, match="count must be an integer >= 0"):
             generate_from_labels(two_blobs, count, seed=0)
 
+    @pytest.mark.parametrize("pool, bad", [([0.5, 1.7, 3.2, 5.9], 0.5), ([True, 2, 3], True),
+                                           ([0, 1, np.float64(2.0)], np.float64(2.0))])
+    def test_rejects_pool_indices_that_are_not_integers(self, two_blobs, pool, bad):
+        # casting to int would draw from [0, 1, 3, 5] and [1, 2, 3]
+        with pytest.raises(ValueError, match=re.escape(f"pool indices must be integers, got {bad!r}")):
+            generate_from_labels(two_blobs, 1, seed=0, pool=pool)
+
+    def test_empty_pool_draws_nothing(self, two_blobs):
+        assert len(generate_from_labels(two_blobs, 0, seed=0, pool=[])) == 0
+
     def test_accepts_a_numpy_integer_count(self, two_blobs):
         assert len(generate_from_labels(two_blobs, np.int64(3), seed=0)) == 3
 
@@ -168,6 +179,34 @@ class TestRemoveInconsistent:
         out, removed = remove_inconsistent(cs(chain, [(1, 4), (0, 7)], 8))
         assert removed == [(1, 4)]
         assert out.dissimilar == frozenset({(0, 7)})
+
+    def test_matches_component_oracle(self):
+        # unclosed sets whose sides were drawn apart, so some pairs sit on both
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(2, 16))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            sim = {pairs[t] for t in rng.choice(len(pairs), int(rng.integers(0, 8)))}
+            dis = {pairs[t] for t in rng.choice(len(pairs), int(rng.integers(1, 8)))}
+            if sim:
+                dis.add(min(sim))
+            out, removed = remove_inconsistent(cs(sim, dis, n))
+            comp = similar_components(sim, n)
+            assert removed == sorted(p for p in dis if comp[p[0]] == comp[p[1]])
+            assert out.dissimilar == frozenset(dis) - frozenset(removed)
+            assert out.similar == frozenset(sim)
+
+    def test_long_shuffled_chain_removes_its_inner_edge_quickly(self):
+        n = 20000
+        order = np.random.default_rng(43).permutation(n).tolist()
+        chain = cs(zip(order, order[1:]), [(order[7], order[n - 7])], n)
+        start = time.perf_counter()
+        out, removed = remove_inconsistent(chain)
+        elapsed = time.perf_counter() - start
+        assert removed == [tuple(sorted((order[7], order[n - 7])))]
+        assert out.dissimilar == frozenset()
+        # a pass that sorts each component once per member takes seconds here
+        assert elapsed < 1.0
 
     def test_sanitized_sets_are_conflict_free(self):
         rng = np.random.default_rng(31)

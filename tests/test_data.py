@@ -108,6 +108,11 @@ class TestLoadCsv:
         data, _ = load_csv(write(tmp_path, f"1,{2 ** 62}\n2,0\n"), label_column=1)
         assert data.labels.tolist() == [2 ** 62, 0]
 
+    def test_bool_label_column_is_not_an_index(self, tmp_path):
+        # True would otherwise select column 1
+        with pytest.raises(ValueError, match="label column True not found"):
+            load_csv(write(tmp_path, "0,1.5,2\n1,2.5,3\n"), label_column=True)
+
     def test_missing_label_column_raises(self, tmp_path):
         with pytest.raises(ValueError):
             load_csv(write(tmp_path, "a,b\n1,2\n"), label_column="missing")

@@ -188,6 +188,11 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="runs must be >= 1"):
             call()
 
+    @pytest.mark.parametrize("runs", [True, 2.5, 2.0])
+    def test_runs_that_are_not_integers_rejected(self, iris, runs):
+        with pytest.raises(ValueError, match=re.escape(f"runs must be >= 1, got {runs}")):
+            run_benchmark({"iris": iris}, ("hac-sl",), 30, runs, 0)
+
     def test_report_lookup_and_formats(self, iris):
         rep = run_benchmark({"iris": iris}, ("hac-sl",), 5, 2, 0)
         with pytest.raises(KeyError):

@@ -242,7 +242,7 @@ class TestLearnMetric:
         nan, inf = float("nan"), float("inf")
         for kw in ({"alpha": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
                    {"alpha": nan}, {"alpha": inf}, {"epsilon": nan}, {"epsilon": inf},
-                   {"max_iters": 2.5}, {"max_iters": 2.0}):
+                   {"max_iters": 2.5}, {"max_iters": 2.0}, {"max_iters": True}):
             with pytest.raises(ValueError, match=next(iter(kw))):
                 LearnConfig(**kw)
         assert LearnConfig(max_iters=np.int64(3)).max_iters == 3

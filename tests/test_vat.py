@@ -431,7 +431,7 @@ class TestCutRuns:
     @given(st.data())
     def test_matches_the_scan(self, data):
         cuts = self.drawn_cuts(data)
-        assert _cut_runs(cuts) == cut_runs_scan(cuts.tolist(), later_wins=True)
+        assert _cut_runs(cuts) == cut_runs_scan(cuts.tolist())
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
