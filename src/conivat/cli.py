@@ -106,14 +106,14 @@ def _load_datasets(args) -> list[tuple[str, FeatureMatrix]]:
         except (OSError, ValueError) as e:
             raise InputError(str(e)) from e
         try:
-            normalize_minmax(data)  # every command rescales; fail here, where the file is named
+            data = normalize_minmax(data)  # once, for every command; fail here, where the file is named
         except ValueError as e:
             raise InputError(f"{path}: {e}") from e
         if dropped:
             print(f"note: {path}: dropped {dropped} unparseable row(s)", file=sys.stderr)
         out.append((Path(path).stem, data))
     for name in args.gen:
-        out.append((name, _GENERATORS[name](args.seed)))
+        out.append((name, normalize_minmax(_GENERATORS[name](args.seed))))
     return out
 
 
@@ -220,7 +220,14 @@ def _outdir(args) -> Path:
 
 def _run_variant(args, name: str, data: FeatureMatrix):
     cs = _load_constraints(args, name, data) if args.variant != "ivat" else None
-    return conivat_pipeline(normalize_minmax(data), cs, _learn_config(args), variant=args.variant)
+    return conivat_pipeline(data, cs, _learn_config(args), variant=args.variant)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header``, then one ``a,b`` line per row of Python scalars, each in its repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n")
+        fh.writelines(f"{a!r},{b!r}\n" for a, b in rows)
 
 
 def cmd_assess(args) -> int:
@@ -229,20 +236,11 @@ def cmd_assess(args) -> int:
     vat, report = _run_variant(args, name, data)
     out = _outdir(args)
     write_pgm(render(vat, scale=args.scale), out / "rdi.pgm")
-    with open(out / "cuts.csv", "w", encoding="utf-8") as fh:
-        fh.write("position,magnitude\n")
-        for t, mag in enumerate(vat.cut_magnitudes, start=1):
-            fh.write(f"{t},{float(mag)!r}\n")
+    _write_csv(out / "cuts.csv", "position,magnitude", enumerate(vat.cut_magnitudes.tolist(), start=1))
     suggestions = suggest_k(vat) if vat.n >= 2 else []
-    with open(out / "suggestions.csv", "w", encoding="utf-8") as fh:
-        fh.write("k,score\n")
-        for k, score in suggestions:
-            fh.write(f"{k},{score!r}\n")
+    _write_csv(out / "suggestions.csv", "k,score", suggestions)
     if report is not None and report.learned:
-        with open(out / "metric_report.csv", "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective\n")
-            for i, g in enumerate(report.objective_trace):
-                fh.write(f"{i},{g!r}\n")
+        _write_csv(out / "metric_report.csv", "iteration,objective", enumerate(report.objective_trace))
         print(
             f"metric: {report.iterations_used} objective evaluations, "
             f"c1 residual {report.c1_residual:.2e}, min eigenvalue {report.min_eigenvalue:.2e}"
@@ -261,10 +259,7 @@ def cmd_cluster(args) -> int:
     vat, _ = _run_variant(args, name, data)
     out = _outdir(args)
     part = cut_mst(vat, args.k)
-    with open(out / "partition.csv", "w", encoding="utf-8") as fh:
-        fh.write("index,label\n")
-        for i, lab in enumerate(part.labels):
-            fh.write(f"{i},{lab}\n")
+    _write_csv(out / "partition.csv", "index,label", enumerate(part.labels.tolist()))
     print(f"wrote {out / 'partition.csv'} (k={args.k})")
     if data.labels is not None:
         print(f"PA: {partition_accuracy(part, data.labels):.2f}")
@@ -347,6 +342,8 @@ def cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # before any dataset is drawn or --out is made
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

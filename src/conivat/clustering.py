@@ -46,6 +46,7 @@ class Partition:
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.shape[0] == 0:
             raise ValueError("labels must be a nonempty 1-D array")
+        _check_k(self.k, labels.shape[0])
         present = np.unique(labels)
         if present[0] < 0 or present[-1] >= self.k or present.shape[0] != self.k:
             raise ValueError(f"labels must cover exactly the ids 0..{self.k - 1}")
@@ -179,9 +180,11 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
 
     A shortest path needs an intermediate outside the constraint endpoints
     only as a single hop between the two ends of a cannot-link pair, so each
-    such pair first takes its best two-hop detour; paths through the
-    endpoints alone then finish the closure. The cannot-link barrier is
-    restored afterwards, since shortest paths may tunnel around it.
+    such pair first takes its best two-hop detour, in sorted pair order
+    (each detour reads the ones before it, so the order fixes the last
+    bits); paths through the endpoints alone then finish the closure. The
+    cannot-link barrier is restored afterwards, since shortest paths may
+    tunnel around it.
 
     The detoured matrix is a metric except for its must-link zeros: a detour
     is a two-hop path, and a ceiling exceeds every entry of ``d``. So a path
@@ -211,7 +214,7 @@ def _close_through_endpoints(e: np.ndarray, cs: ConstraintSet, ceiling: float) -
     a time, in the scratch the passes used; F[u] + F[v] is F[v] + F[u], so
     the result stays exactly symmetric.
     """
-    for i, j in cs.dissimilar:
+    for i, j in sorted(cs.dissimilar):
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
     ends = sorted({v for pair in cs.similar | cs.dissimilar for v in pair})
     n, m = e.shape[0], len(ends)

@@ -121,7 +121,7 @@ def load_csv(path, label_column: str | int | None = None) -> tuple[FeatureMatrix
 
     header: list[str] | None = None
     first = [c.strip() for c in rows[0]]
-    if all(not _is_float(c) for c in first):
+    if all(_to_float(c) is None for c in first):
         header = first
         rows = rows[1:]
         if not rows:
@@ -165,10 +165,6 @@ def _parse_column(cells) -> np.ndarray:
         return np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
     except ValueError:
         return np.array([_to_float(c.strip()) for c in cells], dtype=float)
-
-
-def _is_float(s: str) -> bool:
-    return _to_float(s) is not None
 
 
 def _to_float(s: str):

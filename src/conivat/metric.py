@@ -108,11 +108,6 @@ def _objective_and_gradient(a: np.ndarray, diffs: np.ndarray) -> tuple[float, np
     return float(np.sum(d)), (grad + grad.T) / 2.0
 
 
-def _similar_outer(data: FeatureMatrix, cs: ConstraintSet) -> np.ndarray:
-    vs = _pair_diffs(data, cs.similar)
-    return vs.T @ vs
-
-
 def project_psd(a: np.ndarray) -> np.ndarray:
     """Nearest positive semi-definite matrix to symmetric A: clamp negative eigenvalues."""
     vals, vecs = np.linalg.eigh(a)
@@ -179,8 +174,10 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
     Requires a sanitized constraint set. When either constraint side is
     empty the optimum is unconstrained or degenerate, so the identity metric
     is returned with ``report.learned`` False and zero iterations. Raises
-    ``IndexError`` for a pair outside the data, and ``ValueError`` when the
-    similar pairs' scatter M_S overflows or the ascent collapses A to zero.
+    ``IndexError`` for a pair outside the data, ``FloatingPointError`` when
+    an ascent step overflows (an ``alpha`` too large) or the objective turns
+    non-finite, and ``ValueError`` when the similar pairs' scatter M_S
+    overflows or the ascent collapses A to zero.
     The fixed step grows with the square of the feature scale while the
     feasible metrics shrink with it, so on large features one step can
     overshoot to A = 0, where the objective, positive at the start, ends
@@ -195,7 +192,8 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
 
     diffs_d = _pair_diffs(data, cs.dissimilar)
     with np.errstate(over="ignore", invalid="ignore"):
-        m_s = _similar_outer(data, cs)
+        vs = _pair_diffs(data, cs.similar)
+        m_s = vs.T @ vs
         m_s_sq = float(np.sum(m_s * m_s))
     # an infinite ||M_S||^2 would start the projection's bracket at 0, and doubling 0 never ends
     if not np.isfinite(m_s_sq):
@@ -205,7 +203,11 @@ def learn_metric(data: FeatureMatrix, cs: ConstraintSet, cfg: LearnConfig | None
     g_prev, grad = _objective_and_gradient(a, diffs_d)
     trace = [g_prev]
     for _ in range(cfg.max_iters):
-        a, lam = _project_feasible(a + cfg.alpha * grad, m_s, m_s_sq, lam)
+        with np.errstate(over="ignore"):
+            step = a + cfg.alpha * grad
+        if not np.all(np.isfinite(step)):
+            raise FloatingPointError(f"the ascent step overflowed at alpha={cfg.alpha!r}; lower alpha")
+        a, lam = _project_feasible(step, m_s, m_s_sq, lam)
         g_now, grad = _objective_and_gradient(a, diffs_d)
         if not np.isfinite(g_now):
             raise FloatingPointError("objective became non-finite; check input data")

@@ -21,7 +21,8 @@ SCALES = ("linear", "rank")
 
 
 def _to_uint8(px: np.ndarray) -> np.ndarray:
-    if np.any(px < 0) or np.any(px > 255):
+    # written so that a NaN fails too: it compares false both ways
+    if not (np.all(px >= 0) and np.all(px <= 255)):
         raise ValueError("pixel values must lie in [0, 255]")
     return px.astype(np.uint8)
 

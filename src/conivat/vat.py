@@ -64,6 +64,8 @@ def validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"dissimilarity matrix must be square, got shape {d.shape}")
+    if d.size == 0:
+        raise ValueError("dissimilarity matrix is empty (0 x 0)")
     # min and max are NaN if any entry is, and infinite if any entry is
     lo, hi = d.min(), d.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -218,15 +218,15 @@ def parent_walk_labels(order, parent, cuts, k: int) -> np.ndarray:
 def component_closure_fw(e: np.ndarray, similar, dissimilar, ceiling: float) -> np.ndarray:
     """Shortest-path closure of an edited matrix through its must-link endpoints' closed rows.
 
-    Each cannot-link pair first takes its best two-hop detour. One full
-    Floyd-Warshall pass per constraint endpoint, in increasing index order,
-    then closes every endpoint's row. The detoured matrix takes one more
-    full pass per must-link endpoint p, in increasing index order, whose
-    candidates are F[u] + F[v] with F the closed row of p, and the
-    cannot-link entries go back to the ceiling. Works on copies.
+    Each cannot-link pair first takes its best two-hop detour, in sorted
+    pair order. One full Floyd-Warshall pass per constraint endpoint, in
+    increasing index order, then closes every endpoint's row. The detoured
+    matrix takes one more full pass per must-link endpoint p, in increasing
+    index order, whose candidates are F[u] + F[v] with F the closed row of
+    p, and the cannot-link entries go back to the ceiling. Works on copies.
     """
     e = np.array(e, dtype=float)
-    for i, j in dissimilar:
+    for i, j in sorted(dissimilar):
         e[i, j] = e[j, i] = np.min(e[i] + e[j])
     full = e.copy()
     for mid in sorted({v for pair in set(similar) | set(dissimilar) for v in pair}):

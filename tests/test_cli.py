@@ -109,6 +109,25 @@ class TestAssess:
         assert "dropped 1 unparseable row" in capsys.readouterr().err
 
 
+class TestNormalization:
+    @pytest.mark.parametrize("source", ["data", "gen"])
+    def test_each_dataset_is_normalized_once_on_load(self, monkeypatch, source, iris_csv, tmp_path):
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return normalize_minmax(data)
+
+        monkeypatch.setattr(cli, "normalize_minmax", counted)
+        argv = ["--data", iris_csv, "--label-column", "species"] if source == "data" else ["--gen", "synth1"]
+        args = cli.build_parser().parse_args(["assess", *argv, "--variant", "ivat", "--out", str(tmp_path)])
+        [(_, data)] = cli._load_datasets(args)
+        assert len(calls) == 1
+        assert np.array_equal(data.points, normalize_minmax(calls[0]).points)
+        assert cli.cmd_assess(args) == 0
+        assert len(calls) == 2  # the assessment itself normalizes nothing more
+
+
 class TestCluster:
     def test_k1_single_cluster_csv(self, iris_csv, tmp_path):
         code = run_cli("cluster", "--data", iris_csv, "--label-column", "species",
@@ -389,6 +408,24 @@ class TestErrorPaths:
                        "--alpha", alpha, "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err == f"error: alpha must be finite and positive, got {float(alpha)}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["assess"], ["cluster", "--k", "2"], ["benchmark", "--runs", "1"], ["ablation", "--runs", "1"],
+        ["sweep", "--runs", "1"],
+    ], ids=["assess", "cluster", "benchmark", "ablation", "sweep"])
+    def test_negative_seed_is_usage_error_before_any_draw(self, monkeypatch, argv, tmp_path, capsys):
+        def draw(seed):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setitem(cli._GENERATORS, "synth1", draw)
+        assert run_cli(*argv, "--gen", "synth1", "--seed", "-1", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_learner_step_is_one_runtime_error(self, tmp_path, capsys):
+        code = run_cli("assess", "--gen", "synth1", "--alpha", "1e308", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == "runtime error: the ascent step overflowed at alpha=1e+308; lower alpha\n"
 
     def test_unwritable_out_is_runtime_error(self, iris_csv, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -1,6 +1,8 @@
 """Partition extraction: MST cuts, HAC linkages, constrained variants, k advice."""
 
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from conivat import (
     sanitize,
     ssl,
     suggest_k,
+    synth1,
     synth2,
     vat_reorder,
 )
@@ -108,6 +111,14 @@ class TestPartition:
     def test_integral_float_labels_kept(self):
         p = Partition(np.array([0.0, 2.0, 1.0]), 3)
         assert p.labels.dtype.kind == "i" and p.labels.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("k", [2.0, True, 0, -1, "2"])
+    def test_k_must_be_an_integer_in_range(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be in [1, 2], got {k}")):
+            Partition(np.array([0, 1]), k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert Partition(np.array([0, 1, 1]), np.int64(2)).k == 2
 
 
 class TestCutMst:
@@ -428,6 +439,29 @@ class TestCcl:
             edited, ceiling = _edit(d, cs)
             assert edited[both] == ceiling
             assert_closure_matches_per_endpoint_passes(d, cs)
+
+    def test_endpoint_closure_reads_cannot_links_in_sorted_order(self):
+        # each two-hop detour reads the earlier ones, so the order of the
+        # pairs fixes the last bits; the set's own iteration order must not
+        class Ordered(frozenset):
+            def __iter__(self):
+                return iter(sorted(frozenset.__iter__(self)))
+
+        class Reversed(frozenset):
+            def __iter__(self):
+                return iter(sorted(frozenset.__iter__(self), reverse=True))
+
+        data = normalize_minmax(synth1(0))
+        d = euclidean_dissimilarity(data)
+        cs = _draw_constraints(data, 400, _run_seeds(0, 1)[0])
+        edited, ceiling = _edit(d, cs)
+        closed = [
+            _close_through_endpoints(
+                edited.copy(), SimpleNamespace(similar=cs.similar, dissimilar=order(cs.dissimilar)), ceiling
+            )
+            for order in (Ordered, Reversed)
+        ]
+        assert closed[0].tobytes() == closed[1].tobytes()
 
     def test_endpoint_closure_without_constraints_is_the_edit(self):
         rng = np.random.default_rng(103)

@@ -16,7 +16,9 @@ from conivat import (
     euclidean_dissimilarity,
     generate_from_labels,
     learn_metric,
+    normalize_minmax,
     sanitize,
+    synth1,
 )
 from conivat import metric
 from conivat.metric import _TILE, _objective_and_gradient, _pair_diffs, _project_feasible, project_psd
@@ -221,6 +223,12 @@ class TestLearnMetric:
         c = sanitize(generate_from_labels(big, 30, seed=0))
         with pytest.raises(ValueError, match="collapsed.*normalize_minmax"):
             learn_metric(big, c)
+
+    def test_overflowing_step_names_alpha(self):
+        data = normalize_minmax(synth1(0))
+        c = sanitize(generate_from_labels(data, 30, seed=0))
+        with pytest.raises(FloatingPointError, match=r"alpha=1e\+308"):
+            learn_metric(data, c, LearnConfig(alpha=1e308))
 
     def test_moderate_scale_still_reaches_the_oracle(self, iris_norm):
         mid = FeatureMatrix(iris_norm.points * 1e2, iris_norm.labels)

@@ -92,6 +92,15 @@ class TestRender:
         with pytest.raises(ValueError):
             RdiImage(np.zeros((2, 3), dtype=np.uint8))
 
+    def test_nan_pixels_rejected(self):
+        # NaN compares false both ways, so it must fail the range test, not reach the cast
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 255\]"):
+            RdiImage(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    def test_nan_cut_rejected_by_linear_render(self):
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 255\]"):
+            render(from_cuts([1.0, np.nan]), scale="linear")
+
     def test_covered_cluster_renders_zero_block(self, two_blobs):
         # similar constraints spanning one whole blob weld it to distance 0,
         # which survives the minimax transform as a contiguous black block

@@ -151,6 +151,12 @@ class TestValidateDissimilarity:
         with pytest.raises(ValueError):
             validate_dissimilarity(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="dissimilarity matrix is empty"):
+            validate_dissimilarity(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="must be square"):
+            validate_dissimilarity(np.zeros((0, 3)))
+
     def test_non_finite_reported_before_negative(self):
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = -1.0
